@@ -187,9 +187,10 @@ void write_perf_entry(const std::string& experiment,
   // process coexists in the manifest; threaded owns the plain key.
   if (run.manifest.dispatch_mode != "threaded")
     key += "_" + run.manifest.dispatch_mode + "dispatch";
-  // Likewise single-lane runs: the lockstep multi-lane configuration owns
-  // the plain key, a lanes=1 leg is suffixed so the A/B pair coexists.
-  if (run.manifest.lanes == 1) key += "_lanes1";
+  // Likewise lockstep runs: the single-lane default owns the plain key, a
+  // multi-lane leg is suffixed (e.g. "_lanes8") so the A/B pair coexists.
+  if (run.manifest.lanes != 1)
+    key += "_lanes" + std::to_string(run.manifest.lanes);
   // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path for
   // the whole post-injection suffix; keep them under their own key so the
   // untraced baseline is never overwritten by the traced leg.

@@ -75,8 +75,8 @@ void save_results(const ExperimentRun& run, const std::string& filename);
 /// trace-cache counters), lockstep-lane provenance (lane cap + pack
 /// occupancy/divergence counters), and the restore/execute/classify phase
 /// split. Runs under a non-default dispatch mode are keyed
-/// `<experiment>_<mode>dispatch`, and lanes=1 runs `<experiment>_lanes1`,
-/// so A/B pairs coexist.
+/// `<experiment>_<mode>dispatch`, and multi-lane runs
+/// `<experiment>_lanes<N>`, so A/B pairs coexist.
 void write_perf_entry(const std::string& experiment, const ExperimentRun& run);
 
 }  // namespace faultlab::benchx

@@ -16,7 +16,10 @@ CheckpointMetrics& checkpoint_metrics() {
         registry.counter("checkpoint.delta_restores"),
         registry.counter("checkpoint.delta_pages"),
         registry.counter("checkpoint.evictions"),
+        registry.counter("checkpoint.rejoins"),
+        registry.counter("checkpoint.rejoin_skipped_instructions"),
         registry.histogram("checkpoint.dirty_pages"),
+        registry.histogram("checkpoint.rejoin_boundary"),
     };
   }();
   return metrics;

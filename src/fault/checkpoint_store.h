@@ -10,16 +10,25 @@
 // tie-break — and a trial whose ideal window was evicted transparently
 // falls back to the nearest earlier live one (or a from-scratch run).
 //
+// The live snapshots double as the golden run's rejoin points: a trial
+// whose fault hook has finally detached stops at the first of them its
+// state equals (vm::RunLimits::rejoin), and RejoinTally completes it with
+// the golden totals.
+//
 // Thread-safety contract: add()/clear()/set_budget() are capture/setup
-// operations and must not run concurrently with trials; before() and
-// window_of() are safe to call from many trial workers at once (the only
-// mutation is the per-entry LRU stamp, a relaxed atomic).
+// operations and must not run concurrently with trials; before(),
+// window_of() and live_snapshots() are safe to call from many trial
+// workers at once (the only mutation is the per-entry LRU stamp, a
+// relaxed atomic).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "fault/engine.h"
 #include "ir/category.h"
@@ -44,6 +53,7 @@ class CheckpointStore {
   /// cumulative across profiling runs, matching the engines' other stats.
   void clear() {
     entries_.clear();
+    live_.clear();
     live_pages_ = 0;
     live_count_ = 0;
   }
@@ -61,6 +71,7 @@ class CheckpointStore {
     e.pages = snapshot.memory.mapped_pages();
     e.snapshot = std::move(snapshot);
     e.seen = seen;
+    live_.push_back(&e.snapshot);
     live_pages_ += e.pages;
     ++live_count_;
     enforce_budget();
@@ -105,6 +116,13 @@ class CheckpointStore {
     const std::size_t idx = index_before_time(t);
     return idx == entries_.size() ? kNoWindow
                                   : static_cast<std::uint64_t>(idx);
+  }
+
+  /// Snapshots of the live entries in execution order: the rejoin points
+  /// handed to trial runs. Only add() and evictions change it, so it is
+  /// fixed for the whole trial phase.
+  const std::vector<const SnapshotT*>& live_snapshots() const noexcept {
+    return live_;
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -196,6 +214,7 @@ class CheckpointStore {
     if (victim == entries_.size()) return;
     Entry& e = entries_[victim];
     e.alive = false;
+    live_.erase(std::find(live_.begin(), live_.end(), &e.snapshot));
     e.snapshot = SnapshotT{};  // release the pages now
     live_pages_ -= e.pages;
     --live_count_;
@@ -203,11 +222,42 @@ class CheckpointStore {
   }
 
   std::deque<Entry> entries_;
+  std::vector<const SnapshotT*> live_;
   std::uint64_t budget_pages_ = 0;
   std::uint64_t live_pages_ = 0;
   std::size_t live_count_ = 0;
   std::uint64_t evictions_ = 0;
   mutable std::atomic<std::uint64_t> clock_{0};
+};
+
+/// Per-engine count of trials that ended early at a golden rejoin point.
+struct RejoinTally {
+  std::atomic<std::uint64_t> trials{0};
+  std::atomic<std::uint64_t> skipped_instructions{0};
+
+  /// Completes a run that stopped at a golden rejoin point
+  /// (`r.rejoined()`) with the golden run's totals: from there it would
+  /// have replayed the golden suffix exactly, so it ends at the golden
+  /// length with the golden output and no trap or timeout. Returns the
+  /// golden instructions skipped (0, and `r` untouched, when the run did
+  /// not rejoin).
+  template <typename RunResultT>
+  std::uint64_t settle(RunResultT& r, std::uint64_t golden_instructions,
+                       const std::string& golden_output) {
+    if (!r.rejoined()) return 0;
+    const std::uint64_t skipped = golden_instructions - r.dynamic_instructions;
+    trials.fetch_add(1, std::memory_order_relaxed);
+    skipped_instructions.fetch_add(skipped, std::memory_order_relaxed);
+    if (obs::metrics_enabled()) {
+      CheckpointMetrics& metrics = checkpoint_metrics();
+      metrics.rejoins.add();
+      metrics.rejoin_skipped_instructions.add(skipped);
+      metrics.rejoin_boundary.record(r.rejoin_boundary);
+    }
+    r.dynamic_instructions = golden_instructions;
+    r.output = golden_output;
+    return skipped;
+  }
 };
 
 }  // namespace faultlab::fault

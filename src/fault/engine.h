@@ -78,7 +78,12 @@ struct CheckpointMetrics {
   obs::Counter delta_restores;        ///< restores that walked only dirty pages
   obs::Counter delta_pages;           ///< pages rewritten by delta restores
   obs::Counter evictions;             ///< snapshots evicted by the budget
+  obs::Counter rejoins;               ///< trials ended at a golden rejoin point
+  obs::Counter rejoin_skipped_instructions;  ///< golden suffix not executed
   obs::Histogram dirty_pages;         ///< dirty-set size per delta restore
+  /// Ordinal of the rejoin point a trial matched, counted from the first
+  /// one reached after its hook finally detached (1 = first boundary).
+  obs::Histogram rejoin_boundary;
 };
 
 /// Lazily-registered singleton over Registry::global().
@@ -96,6 +101,11 @@ struct CheckpointStats {
   std::uint64_t delta_restores = 0;   ///< restores on the O(dirty) path
   std::uint64_t restored_pages = 0;   ///< page-table entries rewritten
   std::uint64_t evictions = 0;        ///< snapshots evicted by the budget
+  /// Trials that stopped early because their state rejoined the golden run
+  /// at a snapshot boundary, and the golden-suffix instructions they did
+  /// not execute (golden length minus the rejoin position).
+  std::uint64_t rejoined_trials = 0;
+  std::uint64_t rejoin_skipped_instructions = 0;
 
   double hit_rate() const noexcept {
     return trials != 0
@@ -121,6 +131,8 @@ struct CheckpointStats {
     delta_restores += o.delta_restores;
     restored_pages += o.restored_pages;
     evictions += o.evictions;
+    rejoined_trials += o.rejoined_trials;
+    rejoin_skipped_instructions += o.rejoin_skipped_instructions;
     return *this;
   }
 };

@@ -334,8 +334,11 @@ LlfiEngine::LlfiEngine(const ir::Module& module, FaultModel model,
 }
 
 vm::RunLimits LlfiEngine::faulty_limits() const {
+  vm::RunLimits limits;
   // The paper detects hangs as "substantially longer than the golden run".
-  return {golden_instructions_ * 10 + 100'000};
+  limits.max_instructions = golden_instructions_ * 10 + 100'000;
+  limits.rejoin = &checkpoints_.live_snapshots();
+  return limits;
 }
 
 std::uint64_t LlfiEngine::profile(ir::Category category) {
@@ -457,6 +460,8 @@ TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
     }
     execute_nanos_.fetch_add(nanos_since(phase_t0),
                              std::memory_order_relaxed);
+    // Work actually done: a rejoined run stops short of the golden total
+    // that settle() fills in below.
     if (exec_span.active())
       exec_span.tag("instructions",
                     r.dynamic_instructions -
@@ -464,9 +469,12 @@ TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
   }
   context.interp.set_hook(nullptr);  // the hook dies with this call
   if (cp != nullptr) account_restore(r, cp->snapshot.executed);
+  const std::uint64_t rejoin_skipped =
+      rejoins_.settle(r, golden_instructions_, golden_output_);
 
   TrialRecord record;
   fill_record(record, hook, r, k, cp != nullptr);
+  record.rejoin_skipped = rejoin_skipped;
   {
     obs::ScopedSpan classify_span(tracer, "classify", "phase");
     const auto phase_t0 = std::chrono::steady_clock::now();
@@ -573,7 +581,10 @@ void LlfiEngine::inject_group(TrialContext* context, ir::Category category,
   for (std::size_t i = 0; i < count; ++i) {
     lanes[i]->set_hook(nullptr);
     account_restore(results[i], cp->snapshot.executed);
+    const std::uint64_t rejoin_skipped =
+        rejoins_.settle(results[i], golden_instructions_, golden_output_);
     fill_record(*trials[i].record, hooks[i], results[i], trials[i].k, true);
+    trials[i].record->rejoin_skipped = rejoin_skipped;
   }
   {
     obs::ScopedSpan classify_span(tracer, "classify", "phase");
@@ -598,6 +609,9 @@ CheckpointStats LlfiEngine::checkpoint_stats() const {
   stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
   stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
   stats.evictions = checkpoints_.evictions();
+  stats.rejoined_trials = rejoins_.trials.load(std::memory_order_relaxed);
+  stats.rejoin_skipped_instructions =
+      rejoins_.skipped_instructions.load(std::memory_order_relaxed);
   return stats;
 }
 

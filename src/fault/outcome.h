@@ -54,6 +54,10 @@ struct TrialRecord {
   bool restored = false;             // trial resumed from a snapshot
   bool delta_restored = false;       // reset walked only the dirty set
   std::uint32_t restored_pages = 0;  // page-table entries rewritten
+  /// Golden-suffix instructions not executed because the trial's state
+  /// rejoined the golden run (see vm::RunLimits::rejoin); 0 when the
+  /// trial ran to its own end. total_instructions is exact either way.
+  std::uint64_t rejoin_skipped = 0;
   /// Taint/divergence observability (obs/propagation.h): filled only when
   /// FAULTLAB_PROP armed a tracer for this trial. Like the checkpoint
   /// fields above, excluded from campaign CSVs and record-equality checks;

@@ -133,6 +133,7 @@ class PinfiEngine final : public InjectorEngine {
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> delta_restores_{0};
   mutable std::atomic<std::uint64_t> restored_pages_{0};
+  mutable RejoinTally rejoins_;
   mutable std::atomic<std::uint64_t> restore_nanos_{0};
   mutable std::atomic<std::uint64_t> execute_nanos_{0};
   mutable std::atomic<std::uint64_t> classify_nanos_{0};

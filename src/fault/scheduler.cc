@@ -430,6 +430,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     std::size_t restored = 0;
     std::size_t delta_restores = 0;
     std::uint64_t restored_pages = 0;
+    std::size_t rejoined = 0;
+    std::uint64_t rejoin_skipped = 0;
     for (const TrialRecord& record : c.records) {
       if (record.injected) ++c.result.injected_trials;
       if (record.restored) {
@@ -437,6 +439,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         restored_pages += record.restored_pages;
       }
       if (record.delta_restored) ++delta_restores;
+      if (record.rejoin_skipped != 0) ++rejoined;
+      rejoin_skipped += record.rejoin_skipped;
       switch (record.outcome) {
         case Outcome::Crash: ++c.result.crash; break;
         case Outcome::SDC: ++c.result.sdc; break;
@@ -472,6 +476,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         restored != 0 ? static_cast<double>(restored_pages) /
                             static_cast<double>(restored)
                       : 0.0;
+    timing.rejoined = rejoined;
+    timing.rejoin_skipped_instructions = rejoin_skipped;
     timing.wall_seconds = c.result.wall_seconds;
     if (!c.latency_ms.empty()) {
       std::sort(c.latency_ms.begin(), c.latency_ms.end());
@@ -804,7 +810,8 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  "converged", "ci_halfwidth", "watchdog_flags",
                  "ci_target", "lanes", "pack_groups", "pack_lanes",
                  "pack_uops", "pack_lane_uops", "pack_divergences",
-                 "mean_pack_lanes"});
+                 "mean_pack_lanes", "rejoined",
+                 "rejoin_skipped_instructions"});
   for (const CampaignTiming& t : manifest.campaigns) {
     csv.add_row({t.app, t.tool, ir::category_name(t.category), t.fault_model,
                  std::to_string(t.seed), std::to_string(t.trials),
@@ -841,7 +848,9 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  std::to_string(manifest.pack_uops),
                  std::to_string(manifest.pack_lane_uops),
                  std::to_string(manifest.pack_divergences),
-                 fmt_double(manifest.mean_pack_lanes())});
+                 fmt_double(manifest.mean_pack_lanes()),
+                 std::to_string(t.rejoined),
+                 std::to_string(t.rejoin_skipped_instructions)});
   }
   return csv;
 }

@@ -85,6 +85,10 @@ struct CampaignTiming {
   std::size_t delta_restores = 0;
   /// Mean page-table entries rewritten per restored trial.
   double mean_restored_pages = 0.0;
+  /// Trials that stopped early on rejoining the golden run, and the
+  /// golden-suffix instructions they skipped (TrialRecord::rejoin_skipped).
+  std::size_t rejoined = 0;
+  std::uint64_t rejoin_skipped_instructions = 0;
   double wall_seconds = 0.0;  ///< first trial dispatched -> last trial done
   /// Exact trial-latency percentiles (linear interpolation over the sorted
   /// per-trial wall times), in milliseconds. Zero when no trials ran.

@@ -40,7 +40,7 @@ std::size_t clamp_lanes(std::uint64_t lanes, const char* origin) noexcept {
 
 std::atomic<std::size_t>& lanes_cell() noexcept {
   static std::atomic<std::size_t> cell{clamp_lanes(
-      support::parse_env_u64("FAULTLAB_LANES", 8), "FAULTLAB_LANES")};
+      support::parse_env_u64("FAULTLAB_LANES", 1), "FAULTLAB_LANES")};
   return cell;
 }
 

@@ -51,10 +51,12 @@ const char* dispatch_mode_name(DispatchMode mode) noexcept;
 inline constexpr std::size_t kMaxLanes = 64;
 
 /// Process-wide lockstep lane count. First call reads FAULTLAB_LANES
-/// (default 8, clamped to 1..kMaxLanes with a stderr warning); later calls
+/// (default 1, clamped to 1..kMaxLanes with a stderr warning); later calls
 /// return the cached or programmatically overridden value. A count of 1
 /// disables lane packing entirely — the scheduler and both engines then
-/// take exactly the historical single-trial path.
+/// take exactly the single-trial path, the only one where a trial can stop
+/// early on rejoining the golden run (vm::RunLimits::rejoin), which is why
+/// packing is opt-in.
 std::size_t lane_count() noexcept;
 
 /// Overrides the lane count for the rest of the process (or until the next

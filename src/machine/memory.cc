@@ -226,6 +226,18 @@ Memory::RestoreStats Memory::restore_delta(const Snapshot& snapshot) {
   return {touched, true};
 }
 
+bool Memory::same_as(const Snapshot& snapshot) const {
+  if (pages_.size() != snapshot.pages_.size()) return false;
+  for (const auto& [page_num, ref] : pages_) {
+    const auto it = snapshot.pages_.find(page_num);
+    if (it == snapshot.pages_.end()) return false;
+    if (it->second != ref &&
+        std::memcmp(it->second->bytes, ref->bytes, kPageSize) != 0)
+      return false;
+  }
+  return true;
+}
+
 void PageShadowSet::taint(std::uint64_t addr, std::uint64_t size,
                           std::uint32_t depth) {
   if (size == 0) size = 1;

@@ -109,6 +109,11 @@ class Memory {
   /// first use, after reset(), on a base mismatch, or when
   /// delta_restore_enabled() is off (env FAULTLAB_DELTA_RESTORE=0).
   RestoreStats restore_delta(const Snapshot& snapshot);
+  /// True when the live image maps exactly the snapshot's page numbers with
+  /// byte-identical contents. Pages still shared with the snapshot cost one
+  /// pointer compare; only diverged ones are memcmp'd. The early-exit check
+  /// of a faulty run against the golden run (see vm::RunLimits::rejoin).
+  bool same_as(const Snapshot& snapshot) const;
 
   std::size_t mapped_pages() const noexcept { return pages_.size(); }
   /// Pages diverged from the current delta base (0 when tracking is

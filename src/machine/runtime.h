@@ -57,6 +57,13 @@ class Runtime {
     heap_next_ = state.heap_next;
     live_allocations_ = state.live_allocations;
   }
+  /// True when the live runtime equals `state` (output so far, heap
+  /// cursor and live allocations) — the runtime half of the golden-rejoin
+  /// check.
+  bool same_as(const State& state) const {
+    return heap_next_ == state.heap_next && output_ == state.output &&
+           live_allocations_ == state.live_allocations;
+  }
 
   /// Bump allocation with 16-byte alignment; returns 0 when the request
   /// cannot be satisfied (mirroring malloc's null return).

@@ -1,5 +1,6 @@
 #include "vm/interpreter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -76,6 +77,9 @@ class Interpreter::Impl {
     live_hook_ = nullptr;
     limits_ = limits;
     next_snapshot_at_ = 0;
+    rejoin_next_ = 0;
+    rejoin_first_ = kNoRejoin;
+    rejoin_boundary_ = 0;
     mode_ = machine::dispatch_mode();
   }
 
@@ -146,6 +150,7 @@ class Interpreter::Impl {
     const ir::Function* entry_fn = frames_.front().function;
     try {
       const std::uint64_t ret = exec_loop();
+      if (rejoin_boundary_ != 0) return rejoin_fill();
       return exit_fill(entry_fn, ret);
     } catch (const TrapException& trap) {
       return trap_fill(trap);
@@ -182,6 +187,12 @@ class Interpreter::Impl {
   RunResult timeout_fill() {
     RunResult result;
     result.timed_out = true;
+    return finish_common(std::move(result));
+  }
+
+  RunResult rejoin_fill() {
+    RunResult result;
+    result.rejoin_boundary = rejoin_boundary_;
     return finish_common(std::move(result));
   }
 
@@ -319,20 +330,21 @@ class Interpreter::Impl {
     limits_.snapshot_sink(std::move(snap));
   }
 
-  /// Runs the frame stack to completion; returns the entry's return value.
+  /// Runs the frame stack to completion, or until it rejoins the golden
+  /// run (rejoin_boundary_ set); returns the entry's return value.
   /// Switch mode is the pure historical loop; threaded mode alternates
   /// trace execution with single hooked slow steps at window boundaries.
   std::uint64_t exec_loop() {
     std::uint64_t ret = 0;
     if (mode_ == machine::DispatchMode::Switch) {
-      while (!slow_step(&ret)) {
+      while (!rejoined() && !slow_step(&ret)) {
       }
       return ret;
     }
     while (true) {
       std::uint64_t stop = limits_.max_instructions;
       if (fast_eligible(&stop) && fast_run(stop, &ret)) return ret;
-      if (slow_step(&ret)) return ret;
+      if (rejoined() || slow_step(&ret)) return ret;
     }
   }
 
@@ -344,9 +356,11 @@ class Interpreter::Impl {
   ///  * hook re-arm: a dormant hook re-arms on the instruction that brings
   ///    executed_ to rearm_at, which must run hooked → stop at rearm_at-1;
   ///  * snapshots: captured before the instruction that has
-  ///    executed_ >= next_snapshot_at_ → stop there.
+  ///    executed_ >= next_snapshot_at_ → stop there;
+  ///  * rejoin points (hook finally gone): compared before the instruction
+  ///    after executed_ == point->executed → stop there.
   /// One slow step at the boundary then performs the actual throw /
-  /// re-arm / capture with unchanged semantics.
+  /// re-arm / capture / compare with unchanged semantics.
   bool fast_eligible(std::uint64_t* stop) {
     if (hook_ != nullptr) {
       if (!hook_->detached()) return false;
@@ -359,7 +373,51 @@ class Interpreter::Impl {
     }
     if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
       *stop = std::min(*stop, next_snapshot_at_);
+    if (const Snapshot* point = next_rejoin())
+      *stop = std::min(*stop, point->executed);
     return executed_ < *stop;
+  }
+
+  /// The first RunLimits::rejoin point at or after the current position,
+  /// or null while a hook is still attached (or dormant: it will act
+  /// again) or no point is left. Finally detached hooks are dropped here
+  /// as in the slow loop.
+  const Snapshot* next_rejoin() {
+    if (limits_.rejoin == nullptr) return nullptr;
+    if (hook_ != nullptr) {
+      if (!hook_->detached() || hook_->rearm_at() != 0) return nullptr;
+      hook_ = nullptr;
+    }
+    const std::vector<const Snapshot*>& points = *limits_.rejoin;
+    rejoin_next_ = static_cast<std::size_t>(
+        std::partition_point(points.begin() + rejoin_next_, points.end(),
+                             [this](const Snapshot* p) {
+                               return p->executed < executed_;
+                             }) -
+        points.begin());
+    rejoin_first_ = std::min(rejoin_first_, rejoin_next_);
+    return rejoin_next_ < points.size() ? points[rejoin_next_] : nullptr;
+  }
+
+  /// Whether the complete execution state equals the golden snapshot's
+  /// (executed counts already match). Every register is compared, dead or
+  /// not, so a stale corrupted value blocks the rejoin.
+  bool same_state(const Snapshot& point) const {
+    return sp_ == point.sp && next_frame_id_ == point.next_frame_id &&
+           frames_ == point.frames && runtime_.same_as(point.runtime) &&
+           memory_.same_as(point.memory);
+  }
+
+  /// Checked before every slow step: true (with rejoin_boundary_ set)
+  /// when the run stands exactly at a rejoin point with the golden state.
+  bool rejoined() {
+    if (const Snapshot* point = next_rejoin();
+        point != nullptr && point->executed == executed_ &&
+        same_state(*point)) {
+      rejoin_boundary_ = rejoin_next_ - rejoin_first_ + 1;
+      return true;
+    }
+    return false;
   }
 
   /// One iteration of the hooked slow path. Returns true when the entry
@@ -2046,6 +2104,13 @@ class Interpreter::Impl {
   std::uint64_t executed_ = 0;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t next_snapshot_at_ = 0;
+  // Golden-rejoin cursor into limits_.rejoin: the next point to compare
+  // at, the first one reached after the hook finally detached, and the
+  // 1-based ordinal of the point that matched (0 = no rejoin).
+  static constexpr std::size_t kNoRejoin = ~std::size_t{0};
+  std::size_t rejoin_next_ = 0;
+  std::size_t rejoin_first_ = kNoRejoin;
+  std::uint64_t rejoin_boundary_ = 0;
   machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
   TraceCache cache_;
   /// Fast-path call-stack mirror: (function, block) trace pointers for
@@ -2113,13 +2178,17 @@ void Interpreter::run_lockstep(Interpreter* const* lanes, std::size_t count,
       results[i] = lanes[i]->run_from(snapshot, limits);
     return;
   }
+  // Packs run every lane to its own end: the rejoin check lives in the
+  // single-lane slow step only.
+  RunLimits pack_limits = limits;
+  pack_limits.rejoin = nullptr;
   Impl* impls[machine::kMaxLanes];
   machine::Memory::RestoreStats restores[machine::kMaxLanes];
   for (std::size_t i = 0; i < count; ++i) {
     Interpreter& lane = *lanes[i];
     if (lane.impl_ == nullptr)
       lane.impl_ = std::make_unique<Impl>(lane.module_, lane.layout_);
-    lane.impl_->prepare(lane.hook_, limits);
+    lane.impl_->prepare(lane.hook_, pack_limits);
     restores[i] = lane.impl_->restore_from(snapshot);
     impls[i] = lane.impl_.get();
   }

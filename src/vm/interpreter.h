@@ -127,6 +127,7 @@ struct Snapshot {
     std::size_t index = 0;          // next instruction within block
     std::uint64_t saved_sp = 0;     // caller's stack pointer
     const ir::Instruction* call_site = nullptr;  // caller instr receiving ret
+    bool operator==(const Frame&) const = default;
   };
 
   std::vector<Frame> frames;  // bottom (entry) first
@@ -147,6 +148,15 @@ struct RunLimits {
   /// instructions and hand it to `snapshot_sink`.
   std::uint64_t snapshot_stride = 0;
   std::function<void(Snapshot&&)> snapshot_sink;
+  /// Golden-run snapshots in execution order (non-owning; must outlive the
+  /// run), or null. Once the hook has finally detached (rearm_at() == 0),
+  /// nothing can observe or change the run, so its remainder is a pure
+  /// function of machine state: at each of these points the run compares
+  /// its complete state (frames, stack pointer, frame ids, runtime, memory)
+  /// with the snapshot taken at the same `executed` count, and on a match
+  /// stops with RunResult::rejoin_boundary set — the rest would replay the
+  /// golden run. Ignored inside lockstep packs.
+  const std::vector<const Snapshot*>* rejoin = nullptr;
 };
 
 struct RunResult {
@@ -168,8 +178,15 @@ struct RunResult {
   /// for run()).
   std::uint64_t restored_pages = 0;
   bool delta_restored = false;
+  /// Nonzero when the run stopped because its state equalled a
+  /// RunLimits::rejoin point: the 1-based ordinal of that point among the
+  /// ones reached after the hook finally detached. `dynamic_instructions`
+  /// and `output` then describe the stop position (work actually done);
+  /// the caller completes them from the golden run. `exit_value` is 0.
+  std::uint64_t rejoin_boundary = 0;
 
   bool completed() const noexcept { return !trapped && !timed_out; }
+  bool rejoined() const noexcept { return rejoin_boundary != 0; }
 };
 
 class Interpreter {

@@ -1,5 +1,6 @@
 #include "x86/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -62,6 +63,9 @@ class Machine {
     hook_ = hook;
     limits_ = limits;
     next_snapshot_at_ = 0;
+    rejoin_next_ = 0;
+    rejoin_first_ = kNoRejoin;
+    rejoin_boundary_ = 0;
     mode_ = machine::dispatch_mode();
   }
 
@@ -125,7 +129,7 @@ class Machine {
   SimResult resume_finish() {
     try {
       loop();
-      return halt_fill();
+      return rejoin_boundary_ != 0 ? rejoin_fill() : halt_fill();
     } catch (const TrapException& trap) {
       return trap_fill(trap);
     } catch (const machine::TimeoutException&) {
@@ -159,6 +163,14 @@ class Machine {
   SimResult timeout_fill() {
     SimResult result;
     result.timed_out = true;
+    result.dynamic_instructions = executed_;
+    result.output = runtime_.output();
+    return result;
+  }
+
+  SimResult rejoin_fill() {
+    SimResult result;
+    result.rejoin_boundary = rejoin_boundary_;
     result.dynamic_instructions = executed_;
     result.output = runtime_.output();
     return result;
@@ -312,19 +324,20 @@ class Machine {
 
   // -- main loop -------------------------------------------------------------
 
-  /// Runs to the halt sentinel. Switch mode is the pure historical loop;
+  /// Runs to the halt sentinel, or until the run rejoins the golden run
+  /// (rejoin_boundary_ set). Switch mode is the pure historical loop;
   /// threaded mode alternates trace execution with single hooked slow
   /// steps at window boundaries.
   void loop() {
     if (mode_ == machine::DispatchMode::Switch) {
-      while (!slow_step()) {
+      while (!rejoined() && !slow_step()) {
       }
       return;
     }
     while (true) {
       std::uint64_t stop = limits_.max_instructions;
       if (fast_eligible(&stop) && fast_run(stop)) return;
-      if (slow_step()) return;
+      if (rejoined() || slow_step()) return;
     }
   }
 
@@ -345,7 +358,48 @@ class Machine {
     }
     if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
       *stop = std::min(*stop, next_snapshot_at_);
+    if (const SimSnapshot* point = next_rejoin())
+      *stop = std::min(*stop, point->executed);
     return executed_ < *stop;
+  }
+
+  /// The first SimLimits::rejoin point at or after the current position,
+  /// or null while a hook is still attached (or dormant) or no point is
+  /// left (see vm/interpreter.cc).
+  const SimSnapshot* next_rejoin() {
+    if (limits_.rejoin == nullptr) return nullptr;
+    if (hook_ != nullptr) {
+      if (!hook_->detached() || hook_->rearm_at() != 0) return nullptr;
+      hook_ = nullptr;
+    }
+    const std::vector<const SimSnapshot*>& points = *limits_.rejoin;
+    rejoin_next_ = static_cast<std::size_t>(
+        std::partition_point(points.begin() + rejoin_next_, points.end(),
+                             [this](const SimSnapshot* p) {
+                               return p->executed < executed_;
+                             }) -
+        points.begin());
+    rejoin_first_ = std::min(rejoin_first_, rejoin_next_);
+    return rejoin_next_ < points.size() ? points[rejoin_next_] : nullptr;
+  }
+
+  /// Whether registers, runtime and memory equal the golden snapshot's
+  /// (executed counts already match).
+  bool same_state(const SimSnapshot& point) const {
+    return state_ == point.state && runtime_.same_as(point.runtime) &&
+           memory_.same_as(point.memory);
+  }
+
+  /// Checked before every slow step: true (with rejoin_boundary_ set)
+  /// when the run stands exactly at a rejoin point with the golden state.
+  bool rejoined() {
+    if (const SimSnapshot* point = next_rejoin();
+        point != nullptr && point->executed == executed_ &&
+        same_state(*point)) {
+      rejoin_boundary_ = rejoin_next_ - rejoin_first_ + 1;
+      return true;
+    }
+    return false;
   }
 
   /// One iteration of the hooked slow path; true when the program halted.
@@ -1810,6 +1864,11 @@ class Machine {
   MachineState state_;
   std::uint64_t executed_ = 0;
   std::uint64_t next_snapshot_at_ = 0;
+  // Golden-rejoin cursor (see vm/interpreter.cc).
+  static constexpr std::size_t kNoRejoin = ~std::size_t{0};
+  std::size_t rejoin_next_ = 0;
+  std::size_t rejoin_first_ = kNoRejoin;
+  std::uint64_t rejoin_boundary_ = 0;
   std::uint64_t current_index_ = 0;  // instruction being executed (trap_pc)
   machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
   std::unique_ptr<XTrace> trace_;  // decoded on first fast-path entry
@@ -1873,13 +1932,17 @@ void Simulator::run_lockstep(Simulator* const* lanes, std::size_t count,
       results[i] = lanes[i]->run_from(snapshot, limits);
     return;
   }
+  // Packs run every lane to its own end: the rejoin check lives in the
+  // single-lane slow step only.
+  SimLimits pack_limits = limits;
+  pack_limits.rejoin = nullptr;
   Machine* machines[machine::kMaxLanes];
   machine::Memory::RestoreStats restores[machine::kMaxLanes];
   for (std::size_t i = 0; i < count; ++i) {
     Simulator& lane = *lanes[i];
     if (lane.machine_ == nullptr)
       lane.machine_ = std::make_unique<Machine>(lane.program_);
-    lane.machine_->prepare(lane.hook_, limits);
+    lane.machine_->prepare(lane.hook_, pack_limits);
     restores[i] = lane.machine_->restore_from(snapshot);
     machines[i] = lane.machine_.get();
   }

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "machine/memory.h"
 #include "machine/runtime.h"
@@ -23,6 +24,7 @@ struct MachineState {
   std::uint64_t xmm[kNumXmms][2] = {};  // [0] = low 64 bits, [1] = high
   std::uint64_t rflags = 0;
   std::uint64_t rip_index = 0;  // instruction index, not byte address
+  bool operator==(const MachineState&) const = default;
 };
 
 class SimHook {
@@ -115,6 +117,12 @@ struct SimLimits {
   /// instructions and hand it to `snapshot_sink`.
   std::uint64_t snapshot_stride = 0;
   std::function<void(SimSnapshot&&)> snapshot_sink;
+  /// Golden-run snapshots in execution order (non-owning), or null: the
+  /// early-exit points of vm::RunLimits::rejoin. Once the hook has finally
+  /// detached, the run compares MachineState, runtime and memory with the
+  /// snapshot at the same `executed` count and stops on a match (see
+  /// SimResult::rejoin_boundary). Ignored inside lockstep packs.
+  const std::vector<const SimSnapshot*>* rejoin = nullptr;
 };
 
 struct SimResult {
@@ -136,8 +144,12 @@ struct SimResult {
   /// for run()).
   std::uint64_t restored_pages = 0;
   bool delta_restored = false;
+  /// Nonzero when the run stopped at a SimLimits::rejoin point; same
+  /// contract as vm::RunResult::rejoin_boundary.
+  std::uint64_t rejoin_boundary = 0;
 
   bool completed() const noexcept { return !trapped && !timed_out; }
+  bool rejoined() const noexcept { return rejoin_boundary != 0; }
 };
 
 class Machine;

@@ -203,6 +203,49 @@ TEST(Memory, ResetClearsMappings) {
   EXPECT_THROW(mem.read(0x10000, 8), TrapException);
 }
 
+TEST(Memory, SameAsSharedPages) {
+  Memory mem;
+  mem.map_range(0x10000, 2 * Memory::kPageSize);
+  mem.write(0x10000, 8, 5);
+  const Memory::Snapshot snap = mem.snapshot();
+  EXPECT_TRUE(mem.same_as(snap));  // every page still pointer-shared
+  Memory other;
+  other.restore(snap);
+  EXPECT_TRUE(other.same_as(snap));
+}
+
+TEST(Memory, SameAsClonedButEqualPage) {
+  Memory mem;
+  mem.map_range(0x10000, 4096);
+  mem.write(0x10000, 8, 5);
+  const Memory::Snapshot snap = mem.snapshot();
+  mem.write(0x10000, 8, 6);  // CoW clone, then the golden value again
+  mem.write(0x10000, 8, 5);
+  EXPECT_TRUE(mem.same_as(snap));
+}
+
+TEST(Memory, SameAsDetectsOneDifferingByte) {
+  Memory mem;
+  mem.map_range(0x10000, 2 * Memory::kPageSize);
+  const Memory::Snapshot snap = mem.snapshot();
+  mem.write(0x10000 + Memory::kPageSize + 4095, 1, 1);  // last byte
+  EXPECT_FALSE(mem.same_as(snap));
+  mem.write(0x10000 + Memory::kPageSize + 4095, 1, 0);
+  EXPECT_TRUE(mem.same_as(snap));
+}
+
+TEST(Memory, SameAsComparesPageNumbersNotJustCounts) {
+  Memory a;
+  a.map_range(0x10000, 4096);
+  const Memory::Snapshot snap = a.snapshot();
+  Memory b;
+  b.map_range(0x20000, 4096);  // one zero page too, at another address
+  EXPECT_EQ(b.mapped_pages(), snap.mapped_pages());
+  EXPECT_FALSE(b.same_as(snap));
+  b.map_range(0x10000, 4096);
+  EXPECT_FALSE(b.same_as(snap));  // a superset is not equal either
+}
+
 TEST(Memory, DeltaRestoreWalksOnlyDirtyPages) {
   Memory mem;
   mem.map_range(0x10000, 8 * Memory::kPageSize);

@@ -218,6 +218,8 @@ std::string fingerprint(const CampaignResult& r) {
     out += std::to_string(t.bit);
     out += ':';
     out += std::to_string(t.inject_instruction);
+    out += ':';
+    out += std::to_string(t.total_instructions);
     out += ';';
   }
   return out;
@@ -277,6 +279,12 @@ TEST(ModelCampaign, CheckpointsDoNotPerturbAnyModel) {
     EXPECT_EQ(fingerprint(run_campaign(p_with, small_config())),
               fingerprint(run_campaign(p_without, small_config())))
         << "PINFI under " << m.name();
+    // A stuck-at hook never detaches, so its trials never end early on
+    // rejoining the golden run.
+    if (m.kind == FaultKind::Permanent) {
+      EXPECT_EQ(with_cp.checkpoint_stats().rejoined_trials, 0u) << m.name();
+      EXPECT_EQ(p_with.checkpoint_stats().rejoined_trials, 0u) << m.name();
+    }
   }
 }
 

@@ -47,6 +47,11 @@ void expect_same_records(const std::vector<TrialRecord>& a,
     EXPECT_EQ(a[i].bit, b[i].bit) << "trial " << i;
     EXPECT_EQ(a[i].static_site, b[i].static_site) << "trial " << i;
     EXPECT_EQ(a[i].injected, b[i].injected) << "trial " << i;
+    EXPECT_EQ(a[i].inject_instruction, b[i].inject_instruction)
+        << "trial " << i;
+    EXPECT_EQ(a[i].total_instructions, b[i].total_instructions)
+        << "trial " << i;
+    EXPECT_EQ(a[i].trap_pc, b[i].trap_pc) << "trial " << i;
   }
 }
 
@@ -148,7 +153,15 @@ TEST(Scheduler, CheckpointedMatchesDirectCellByCellAtAnyThreadCount) {
     EXPECT_GT(ps.restored_trials, 0u) << threads << " threads";
     EXPECT_GT(ls.skipped_instructions, 0u);
     EXPECT_GT(ps.skipped_instructions, 0u);
+    // Trials also ended early on rejoining the golden run, so the equality
+    // above covers the filled-in golden totals.
+    EXPECT_GT(ls.rejoined_trials, 0u) << threads << " threads";
+    EXPECT_GT(ps.rejoined_trials, 0u) << threads << " threads";
+    EXPECT_GT(ls.rejoin_skipped_instructions, 0u);
+    EXPECT_GT(ps.rejoin_skipped_instructions, 0u);
   }
+  EXPECT_EQ(llfi_direct.checkpoint_stats().rejoined_trials, 0u);
+  EXPECT_EQ(pinfi_direct.checkpoint_stats().rejoined_trials, 0u);
 }
 
 TEST(Scheduler, SnapshotBudgetEvictsWithoutChangingOutcomes) {

@@ -2,6 +2,7 @@
 // activation-relevant bookkeeping.
 #include <gtest/gtest.h>
 
+#include "fault/outcome.h"
 #include "frontend/codegen.h"
 #include "ir/irbuilder.h"
 #include "support/bitutil.h"
@@ -361,6 +362,90 @@ TEST(VmSnapshot, ResumedRunHonoursTotalInstructionBudget) {
   EXPECT_TRUE(r.timed_out);
   EXPECT_LE(r.dynamic_instructions, 8'000u + 1);
   EXPECT_GT(r.dynamic_instructions, snaps.front().executed);
+}
+
+// ---------------------------------------------------------------------------
+// Golden rejoin (RunLimits::rejoin): a faulty run whose hook has finally
+// detached stops once its state equals a golden snapshot.
+
+/// `g` keeps the first seed() result in memory to the end; the loop's
+/// seed() results only feed a `>= 0` test that a low-bit flip cannot change.
+const char* kRejoinProgram = R"(
+  long g;
+  long seed(long x) { return x * 11; }
+  int main() {
+    int i; long s = 0;
+    g = seed(5);
+    for (i = 0; i < 3000; i++)
+      if (seed(i & 7) >= 0) s = s + 1;
+    print_int(s);
+    print_int(g);
+    return 0;
+  })";
+
+/// Flips bit 3 of the first `mul` result in seed() at or after dynamic
+/// instruction `after`, then detaches for good.
+struct SeedFlipHook final : ExecHook {
+  std::uint64_t after;
+  std::uint64_t executed = 0;
+  bool fired = false;
+  explicit SeedFlipHook(std::uint64_t a) : after(a) {}
+  void on_instruction(const ir::Instruction&) override { ++executed; }
+  std::uint64_t on_result(const DynValueId& id, std::uint64_t raw) override {
+    if (executed < after || id.def->opcode() != Opcode::Mul ||
+        id.def->function()->name() != "seed")
+      return raw;
+    fired = true;
+    detach();
+    return flip_bit(raw, 3);
+  }
+};
+
+TEST(VmSnapshot, RejoinsOnlyOnceTheCorruptionIsOverwritten) {
+  auto m = mc::compile_to_ir(kRejoinProgram, "t");
+  std::vector<Snapshot> snaps;
+  RunLimits capture;
+  capture.snapshot_stride = 2'000;
+  capture.snapshot_sink = [&](Snapshot&& s) { snaps.push_back(std::move(s)); };
+  Interpreter recorder(*m);
+  const auto golden = recorder.run("main", capture);
+  ASSERT_TRUE(golden.completed());
+  ASSERT_GE(snaps.size(), 10u);
+  std::vector<const Snapshot*> points;
+  for (const Snapshot& s : snaps) points.push_back(&s);
+  RunLimits limits;
+  limits.rejoin = &points;
+
+  // Mid-loop corruption: overwritten by the next seed() call, so the run
+  // stops at a later boundary with the golden prefix of the output.
+  SeedFlipHook masked(golden.dynamic_instructions / 2);
+  Interpreter vm(*m, &masked);
+  const auto r = vm.run("main", limits);
+  ASSERT_TRUE(masked.fired);
+  EXPECT_TRUE(r.rejoined());
+  EXPECT_TRUE(r.completed());
+  EXPECT_GT(r.dynamic_instructions, golden.dynamic_instructions / 2);
+  EXPECT_LT(r.dynamic_instructions, golden.dynamic_instructions);
+  EXPECT_EQ(golden.output.compare(0, r.output.size(), r.output), 0);
+  // The oracle: without rejoin points the same fault runs to the golden end.
+  SeedFlipHook again(golden.dynamic_instructions / 2);
+  Interpreter full(*m, &again);
+  const auto f = full.run();
+  EXPECT_FALSE(f.rejoined());
+  EXPECT_EQ(f.output, golden.output);
+  EXPECT_EQ(f.dynamic_instructions, golden.dynamic_instructions);
+
+  // Corrupting g's value leaves it in memory to the end: never rejoins.
+  SeedFlipHook stored(0);
+  Interpreter sdc(*m, &stored);
+  const auto s = sdc.run("main", limits);
+  ASSERT_TRUE(stored.fired);
+  EXPECT_FALSE(s.rejoined());
+  EXPECT_TRUE(s.completed());
+  EXPECT_EQ(s.dynamic_instructions, golden.dynamic_instructions);
+  EXPECT_EQ(fault::classify(true, true, s.trapped, s.timed_out, s.output,
+                            golden.output),
+            fault::Outcome::SDC);
 }
 
 TEST(VmApi, MissingEntryThrows) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "driver/pipeline.h"
+#include "fault/outcome.h"
 #include "machine/memory.h"
 #include "support/bitutil.h"
 #include "x86/category.h"
@@ -381,6 +383,97 @@ TEST(SimSnapshotTest, ResumedRunHonoursTotalInstructionBudget) {
   EXPECT_TRUE(r.timed_out);
   EXPECT_LE(r.dynamic_instructions, 801u);
   EXPECT_GT(r.dynamic_instructions, snaps.front().executed);
+}
+
+// Golden rejoin (SimLimits::rejoin): the simulator's executor-level check.
+// `g` keeps the first seed() result in memory to the end; the loop's
+// seed() results only feed a `>= 0` test that a low-bit flip cannot change.
+const char* kRejoinProgram = R"(
+  long g;
+  long seed(long x) { return x * 11; }
+  int main() {
+    int i; long s = 0;
+    g = seed(5);
+    for (i = 0; i < 3000; i++)
+      if (seed(i & 7) >= 0) s = s + 1;
+    print_int(s);
+    print_int(g);
+    return 0;
+  })";
+
+/// Flips bit 3 of RAX as seed() returns, on the first return retired at or
+/// after dynamic instruction `after`, then detaches for good.
+struct SeedReturnFlipHook final : SimHook {
+  const FunctionInfo* seed;
+  std::uint64_t after;
+  std::uint64_t executed = 0;
+  bool fired = false;
+  SeedReturnFlipHook(const Program& p, std::uint64_t a)
+      : seed(p.function_by_name("seed")), after(a) {}
+  void on_after(std::size_t index, const Inst& inst,
+                MachineState& state) override {
+    if (++executed < after || inst.op != Op::Ret || index < seed->entry ||
+        index >= seed->entry + seed->size)
+      return;
+    state.gpr[RAX] = flip_bit(state.gpr[RAX], 3);
+    fired = true;
+    detach();
+  }
+};
+
+TEST(SimSnapshotTest, RejoinsOnlyOnceTheCorruptionIsOverwritten) {
+  // Unoptimized, so seed() stays a real call in the loop.
+  driver::CompileOptions options;
+  options.optimize = false;
+  const driver::CompiledProgram compiled =
+      driver::compile(kRejoinProgram, "t", options);
+  const Program& p = compiled.program();
+  ASSERT_NE(p.function_by_name("seed"), nullptr);
+  std::vector<SimSnapshot> snaps;
+  SimLimits capture;
+  capture.snapshot_stride = 2'000;
+  capture.snapshot_sink = [&](SimSnapshot&& s) {
+    snaps.push_back(std::move(s));
+  };
+  Simulator recorder(p);
+  const SimResult golden = recorder.run(capture);
+  ASSERT_TRUE(golden.completed());
+  ASSERT_GE(snaps.size(), 10u);
+  std::vector<const SimSnapshot*> points;
+  for (const SimSnapshot& s : snaps) points.push_back(&s);
+  SimLimits limits;
+  limits.rejoin = &points;
+
+  // Mid-loop corruption: RAX is overwritten before the next boundary, so
+  // the run stops there with the golden prefix of the output.
+  SeedReturnFlipHook masked(p, golden.dynamic_instructions / 2);
+  Simulator sim(p, &masked);
+  const SimResult r = sim.run(limits);
+  ASSERT_TRUE(masked.fired);
+  EXPECT_TRUE(r.rejoined());
+  EXPECT_TRUE(r.completed());
+  EXPECT_GT(r.dynamic_instructions, golden.dynamic_instructions / 2);
+  EXPECT_LT(r.dynamic_instructions, golden.dynamic_instructions);
+  EXPECT_EQ(golden.output.compare(0, r.output.size(), r.output), 0);
+  // The oracle: without rejoin points the same fault runs to the golden end.
+  SeedReturnFlipHook again(p, golden.dynamic_instructions / 2);
+  Simulator full(p, &again);
+  const SimResult f = full.run();
+  EXPECT_FALSE(f.rejoined());
+  EXPECT_EQ(f.output, golden.output);
+  EXPECT_EQ(f.dynamic_instructions, golden.dynamic_instructions);
+
+  // Corrupting g's value leaves it in memory to the end: never rejoins.
+  SeedReturnFlipHook stored(p, 0);
+  Simulator sdc(p, &stored);
+  const SimResult s = sdc.run(limits);
+  ASSERT_TRUE(stored.fired);
+  EXPECT_FALSE(s.rejoined());
+  EXPECT_TRUE(s.completed());
+  EXPECT_EQ(s.dynamic_instructions, golden.dynamic_instructions);
+  EXPECT_EQ(fault::classify(true, true, s.trapped, s.timed_out, s.output,
+                            golden.output),
+            fault::Outcome::SDC);
 }
 
 TEST(Categories, Table3AsmSide) {
