@@ -57,26 +57,5 @@ int main() {
             << "s vs switch " << ab.manifest.wall_seconds << "s, results "
             << (identical ? "byte-identical" : "DIVERGED") << "]\n";
   if (!identical) return EXIT_FAILURE;
-
-  // The lockstep-lane leg: the same grid with lane grouping forced on
-  // (FAULTLAB_LANES=8 equivalent). write_perf_entry keys it
-  // `fig3_aggregate_lanes8`; the binary fails outright if grouping moved
-  // a single byte of the results.
-  const std::size_t env_lanes = machine::lane_count();
-  machine::set_lane_count(8);
-  const benchx::ExperimentRun packed =
-      benchx::run_experiment(apps, {ir::Category::All}, trials);
-  machine::set_lane_count(env_lanes);
-  benchx::write_perf_entry("fig3_aggregate", packed);
-  const bool lanes_identical =
-      fault::results_csv(packed.results).to_string() ==
-      fault::results_csv(run.results).to_string();
-  std::cout << "[lanes A/B: lanes=" << run.manifest.lanes << " "
-            << run.manifest.wall_seconds << "s vs lanes=8 "
-            << packed.manifest.wall_seconds << "s (mean pack occupancy "
-            << packed.manifest.mean_pack_lanes() << ", "
-            << packed.manifest.pack_divergences << " divergences), results "
-            << (lanes_identical ? "byte-identical" : "DIVERGED") << "]\n";
-  if (!lanes_identical) return EXIT_FAILURE;
   return 0;
 }

@@ -187,10 +187,6 @@ void write_perf_entry(const std::string& experiment,
   // process coexists in the manifest; threaded owns the plain key.
   if (run.manifest.dispatch_mode != "threaded")
     key += "_" + run.manifest.dispatch_mode + "dispatch";
-  // Likewise lockstep runs: the single-lane default owns the plain key, a
-  // multi-lane leg is suffixed (e.g. "_lanes8") so the A/B pair coexists.
-  if (run.manifest.lanes != 1)
-    key += "_lanes" + std::to_string(run.manifest.lanes);
   // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path for
   // the whole post-injection suffix; keep them under their own key so the
   // untraced baseline is never overwritten by the traced leg.
@@ -224,13 +220,6 @@ void write_perf_entry(const std::string& experiment,
         << "\"trace_invalidations\": " << run.manifest.trace_invalidations
         << ", "
         << "\"decoded_blocks\": " << run.manifest.decoded_blocks << ", "
-        << "\"lanes\": " << run.manifest.lanes << ", "
-        << "\"pack_groups\": " << run.manifest.pack_groups << ", "
-        << "\"pack_lanes\": " << run.manifest.pack_lanes << ", "
-        << "\"mean_pack_lanes\": " << run.manifest.mean_pack_lanes() << ", "
-        << "\"pack_uops\": " << run.manifest.pack_uops << ", "
-        << "\"pack_lane_uops\": " << run.manifest.pack_lane_uops << ", "
-        << "\"pack_divergences\": " << run.manifest.pack_divergences << ", "
         << "\"restore_seconds\": " << run.phases.restore_seconds << ", "
         << "\"execute_seconds\": " << run.phases.execute_seconds << ", "
         << "\"classify_seconds\": " << run.phases.classify_seconds << ", "

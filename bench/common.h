@@ -72,11 +72,9 @@ void save_results(const ExperimentRun& run, const std::string& filename);
 /// binaries sharing a working directory accumulate into one manifest.
 /// Records wall time, trials/sec, thread count, seed, the checkpoint
 /// layer's stride/snapshot/hit-rate counters, dispatch provenance (mode +
-/// trace-cache counters), lockstep-lane provenance (lane cap + pack
-/// occupancy/divergence counters), and the restore/execute/classify phase
-/// split. Runs under a non-default dispatch mode are keyed
-/// `<experiment>_<mode>dispatch`, and multi-lane runs
-/// `<experiment>_lanes<N>`, so A/B pairs coexist.
+/// trace-cache counters), and the restore/execute/classify phase split.
+/// Runs under a non-default dispatch mode are keyed
+/// `<experiment>_<mode>dispatch`, so A/B pairs coexist.
 void write_perf_entry(const std::string& experiment, const ExperimentRun& run);
 
 }  // namespace faultlab::benchx

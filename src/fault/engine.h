@@ -224,27 +224,6 @@ class InjectorEngine {
     return inject(category, k, rng);
   }
 
-  /// One trial of a lane group: the dynamic target, the trial's own
-  /// pre-forked rng stream, and the record slot to fill. Every trial
-  /// draws only from its own rng, so grouping never perturbs the streams.
-  struct GroupTrial {
-    std::uint64_t k = 0;
-    Rng* rng = nullptr;
-    TrialRecord* record = nullptr;
-  };
-
-  /// Runs `count` same-window trials against one context. Engines that
-  /// support lockstep lane packing override this to execute the group
-  /// batched; records are identical to calling inject_in() per trial in
-  /// array order either way. The default implementation is exactly that
-  /// loop.
-  virtual void inject_group(TrialContext* context, ir::Category category,
-                            GroupTrial* trials, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i)
-      *trials[i].record =
-          inject_in(context, category, trials[i].k, *trials[i].rng);
-  }
-
   /// Index of the snapshot window trial (category, k) resumes from, or
   /// kNoWindow for a from-scratch run. Valid after profiling; the
   /// scheduler uses it to run a window's trials back-to-back on one

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <stdexcept>
-#include <vector>
 
-#include "machine/dispatch.h"
 #include "obs/metrics.h"
 #include "obs/propagation.h"
 #include "obs/trace.h"
@@ -269,30 +267,6 @@ std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Record-fill tail shared by the single-lane and grouped paths: the
-/// hook's injection facts plus the run's terminal state — everything
-/// except outcome classification.
-void fill_record(TrialRecord& record, const InjectHook& hook,
-                 const vm::RunResult& r, std::uint64_t k, bool restored) {
-  record.dynamic_target = k;
-  record.bit = hook.bit();
-  record.static_site = hook.static_site();
-  record.injected = hook.injected();
-  record.site_opcode = hook.site_opcode();
-  record.site_function = hook.site_function();
-  record.total_instructions = r.dynamic_instructions;
-  if (hook.injected())
-    record.inject_instruction = hook.inject_at();  // absolute position
-  if (r.trapped) {
-    record.trap_pc = r.trap_pc;
-    record.trap = r.trap;
-  }
-  record.restored = restored;
-  record.delta_restored = r.delta_restored;
-  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
-  if (hook.tracing()) record.prop = hook.prop_summary();
-}
-
 }  // namespace
 
 bool LlfiEngine::is_target(const ir::Instruction& instr, ir::Category category,
@@ -468,13 +442,44 @@ TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
                         (cp != nullptr ? cp->snapshot.executed : 0));
   }
   context.interp.set_hook(nullptr);  // the hook dies with this call
-  if (cp != nullptr) account_restore(r, cp->snapshot.executed);
+  if (cp != nullptr) {
+    restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
+    if (r.delta_restored)
+      delta_restores_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::metrics_enabled()) {
+      CheckpointMetrics& metrics = checkpoint_metrics();
+      metrics.restores.add();
+      metrics.restored_pages.add(r.restored_pages);
+      metrics.skipped_instructions.add(cp->snapshot.executed);
+      if (r.delta_restored) {
+        metrics.delta_restores.add();
+        metrics.delta_pages.add(r.restored_pages);
+        metrics.dirty_pages.record(r.restored_pages);
+      }
+    }
+  }
   const std::uint64_t rejoin_skipped =
       rejoins_.settle(r, golden_instructions_, golden_output_);
 
   TrialRecord record;
-  fill_record(record, hook, r, k, cp != nullptr);
+  record.dynamic_target = k;
+  record.bit = hook.bit();
+  record.static_site = hook.static_site();
+  record.injected = hook.injected();
+  record.site_opcode = hook.site_opcode();
+  record.site_function = hook.site_function();
+  record.total_instructions = r.dynamic_instructions;
+  if (hook.injected())
+    record.inject_instruction = hook.inject_at();  // absolute position
+  if (r.trapped) {
+    record.trap_pc = r.trap_pc;
+    record.trap = r.trap;
+  }
+  record.restored = cp != nullptr;
+  record.delta_restored = r.delta_restored;
+  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
   record.rejoin_skipped = rejoin_skipped;
+  if (hook.tracing()) record.prop = hook.prop_summary();
   {
     obs::ScopedSpan classify_span(tracer, "classify", "phase");
     const auto phase_t0 = std::chrono::steady_clock::now();
@@ -484,118 +489,6 @@ TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
                               std::memory_order_relaxed);
   }
   return record;
-}
-
-void LlfiEngine::account_restore(const vm::RunResult& r,
-                                 std::uint64_t snapshot_executed) const {
-  restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
-  if (r.delta_restored)
-    delta_restores_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_enabled()) {
-    CheckpointMetrics& metrics = checkpoint_metrics();
-    metrics.restores.add();
-    metrics.restored_pages.add(r.restored_pages);
-    metrics.skipped_instructions.add(snapshot_executed);
-    if (r.delta_restored) {
-      metrics.delta_restores.add();
-      metrics.delta_pages.add(r.restored_pages);
-      metrics.dirty_pages.record(r.restored_pages);
-    }
-  }
-}
-
-void LlfiEngine::inject_group(TrialContext* context, ir::Category category,
-                              GroupTrial* trials, std::size_t count) {
-  Context* ctx = static_cast<Context*>(context);
-  if (ctx == nullptr || count == 0) {
-    InjectorEngine::inject_group(context, category, trials, count);
-    return;
-  }
-  // Lane packing needs every trial of the group to resume from the same
-  // snapshot. Checkpoint lookup consumes no rng draws, so deciding
-  // between the grouped and sequential paths first leaves each trial's
-  // stream exactly where run_trial would read it.
-  obs::Tracer& tracer = obs::Tracer::global();
-  std::uint64_t arm_times[machine::kMaxLanes];
-  const CheckpointStore<vm::Snapshot>::Entry* cp = nullptr;
-  bool groupable = count > 1 && count <= machine::kMaxLanes;
-  if (groupable) {
-    obs::ScopedSpan restore_span(tracer, "restore", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < count; ++i) {
-      arm_times[i] = fault_model_.trigger == FaultTrigger::Time
-                         ? time_trigger_point(category, trials[i].k)
-                         : 0;
-      const auto* entry = arm_times[i] != 0
-                              ? checkpoints_.before_time(arm_times[i])
-                              : checkpoints_.before(category, trials[i].k);
-      if (i == 0) cp = entry;
-      if (entry == nullptr || entry != cp) {
-        groupable = false;
-        break;
-      }
-    }
-    if (restore_span.active())
-      restore_span.tag("checkpoint", groupable ? "group-hit" : "group-miss");
-    restore_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-  }
-  if (!groupable) {
-    for (std::size_t i = 0; i < count; ++i)
-      *trials[i].record =
-          run_trial(*ctx, category, trials[i].k, *trials[i].rng);
-    return;
-  }
-
-  // Per-lane plan + hook, each from its own pre-forked rng stream; the
-  // reserve keeps hook addresses stable while lanes register them.
-  std::vector<InjectHook> hooks;
-  hooks.reserve(count);
-  vm::Interpreter* lanes[machine::kMaxLanes];
-  vm::RunResult results[machine::kMaxLanes];
-  for (std::size_t i = 0; i < count; ++i) {
-    const FaultPlan plan(fault_model_, *trials[i].rng, 64);
-    hooks.emplace_back(category, trials[i].k, plan, model_,
-                       cp->seen[category], cp->snapshot.executed,
-                       arm_times[i], trace_prop_ ? &journal_ : nullptr);
-    lanes[i] = ctx->lane(i);
-    lanes[i]->set_hook(&hooks.back());
-  }
-  trials_.fetch_add(count, std::memory_order_relaxed);
-  restored_trials_.fetch_add(count, std::memory_order_relaxed);
-  skipped_instructions_.fetch_add(count * cp->snapshot.executed,
-                                  std::memory_order_relaxed);
-  {
-    obs::ScopedSpan exec_span(tracer, "execute", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    vm::Interpreter::run_lockstep(lanes, count, cp->snapshot,
-                                  faulty_limits(), results);
-    execute_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-    if (exec_span.active()) {
-      exec_span.tag("lanes", static_cast<std::uint64_t>(count));
-      exec_span.tag("instructions", results[0].dynamic_instructions -
-                                        cp->snapshot.executed);
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    lanes[i]->set_hook(nullptr);
-    account_restore(results[i], cp->snapshot.executed);
-    const std::uint64_t rejoin_skipped =
-        rejoins_.settle(results[i], golden_instructions_, golden_output_);
-    fill_record(*trials[i].record, hooks[i], results[i], trials[i].k, true);
-    trials[i].record->rejoin_skipped = rejoin_skipped;
-  }
-  {
-    obs::ScopedSpan classify_span(tracer, "classify", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < count; ++i)
-      trials[i].record->outcome = classify(
-          hooks[i].injected(), hooks[i].activated(), results[i].trapped,
-          results[i].timed_out, results[i].output, golden_output_);
-    classify_nanos_.fetch_add(nanos_since(phase_t0),
-                              std::memory_order_relaxed);
-  }
 }
 
 CheckpointStats LlfiEngine::checkpoint_stats() const {

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <memory>
-#include <vector>
 
 #include "fault/checkpoint_store.h"
 #include "fault/engine.h"
@@ -47,8 +46,6 @@ class LlfiEngine final : public InjectorEngine {
                      Rng& rng) override;
   TrialRecord inject_in(TrialContext* context, ir::Category category,
                         std::uint64_t k, Rng& rng) override;
-  void inject_group(TrialContext* context, ir::Category category,
-                    GroupTrial* trials, std::size_t count) override;
   std::unique_ptr<TrialContext> make_context() override;
   std::uint64_t window_of(ir::Category category,
                           std::uint64_t k) const override;
@@ -77,30 +74,14 @@ class LlfiEngine final : public InjectorEngine {
  private:
   /// Per-worker resident interpreter: its address space persists between
   /// trials, so same-window trials reset via the O(dirty) delta path.
-  /// Grouped trials add extra resident lane interpreters on demand (lane 0
-  /// is the original `interp`); each lane's address space also persists,
-  /// so lanes ride the delta path across groups too.
   struct Context final : TrialContext {
-    explicit Context(const ir::Module& m) : module(m), interp(m) {}
-    vm::Interpreter* lane(std::size_t i) {
-      if (i == 0) return &interp;
-      while (extra.size() < i)
-        extra.push_back(std::make_unique<vm::Interpreter>(module));
-      return extra[i - 1].get();
-    }
-    const ir::Module& module;
+    explicit Context(const ir::Module& m) : interp(m) {}
     vm::Interpreter interp;
-    std::vector<std::unique_ptr<vm::Interpreter>> extra;
   };
 
   vm::RunLimits faulty_limits() const;
   TrialRecord run_trial(Context& context, ir::Category category,
                         std::uint64_t k, Rng& rng);
-  /// Restore-side accounting shared by the single-lane and grouped paths:
-  /// engine atomics plus the checkpoint-metrics mirror. Call only for
-  /// trials that actually resumed from a snapshot.
-  void account_restore(const vm::RunResult& r,
-                       std::uint64_t snapshot_executed) const;
   /// Dynamic instruction index at which a time-triggered fault arms for
   /// trial (category, k): k's share of the golden run, scaled by the
   /// profiled category density. Zero (= fall back to access trigger)

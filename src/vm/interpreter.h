@@ -155,7 +155,7 @@ struct RunLimits {
   /// its complete state (frames, stack pointer, frame ids, runtime, memory)
   /// with the snapshot taken at the same `executed` count, and on a match
   /// stops with RunResult::rejoin_boundary set — the rest would replay the
-  /// golden run. Ignored inside lockstep packs.
+  /// golden run.
   const std::vector<const Snapshot*>* rejoin = nullptr;
 };
 
@@ -222,20 +222,6 @@ class Interpreter {
   /// O(pages the previous trial touched) path, and frame/register vectors
   /// reuse their allocations instead of being rebuilt per trial.
   RunResult run_from(const Snapshot& snapshot, const RunLimits& limits = {});
-
-  /// Resumes `count` interpreters (lanes) from the same snapshot and runs
-  /// them to completion in lockstep: one decoded micro-op fetch drives
-  /// every active lane, and a lane whose fault diverges control flow
-  /// (branch target, call depth, trap, or exit differs from the pack
-  /// leader) masks off and finishes on the existing single-lane path.
-  /// results[i] is byte-identical to what `lanes[i]->run_from(snapshot,
-  /// limits)` would produce — the pack only amortizes fetch/dispatch,
-  /// never semantics. Falls back to sequential run_from calls when packing
-  /// cannot apply (one lane, switch dispatch mode, a snapshot sink armed,
-  /// mismatched modules, or more than machine::kMaxLanes lanes).
-  static void run_lockstep(Interpreter* const* lanes, std::size_t count,
-                           const Snapshot& snapshot, const RunLimits& limits,
-                           RunResult* results);
 
  private:
   class Impl;

@@ -314,7 +314,8 @@ void TraceCache::decode(TraceFunction& tf, TraceBlock& tb) {
           } else if (iv->vkind() == ir::ValueKind::ConstantInt) {
             const std::int64_t idx = sign_extend(
                 static_cast<const ir::ConstantInt*>(iv)->raw(), ibits);
-            u.imm += static_cast<std::uint64_t>(idx * scale);
+            u.imm += static_cast<std::uint64_t>(idx) *
+                     static_cast<std::uint64_t>(scale);
           } else {
             tb.gep_terms.push_back({resolve_slot(layout_, iv), scale,
                                     static_cast<std::uint8_t>(ibits)});

@@ -121,7 +121,7 @@ struct SimLimits {
   /// early-exit points of vm::RunLimits::rejoin. Once the hook has finally
   /// detached, the run compares MachineState, runtime and memory with the
   /// snapshot at the same `executed` count and stops on a match (see
-  /// SimResult::rejoin_boundary). Ignored inside lockstep packs.
+  /// SimResult::rejoin_boundary).
   const std::vector<const SimSnapshot*>* rejoin = nullptr;
 };
 
@@ -180,20 +180,6 @@ class Simulator {
   /// same snapshot repeatedly rides Memory::restore_delta()'s O(pages the
   /// previous trial touched) path instead of rebuilding the page table.
   SimResult run_from(const SimSnapshot& snapshot, const SimLimits& limits = {});
-
-  /// Resumes `count` simulators (lanes) from the same snapshot and runs
-  /// them to completion in lockstep: one decoded micro-op fetch drives
-  /// every active lane, and a lane whose fault diverges control flow
-  /// (branch target, trap, or halt differs from the pack leader) masks off
-  /// and finishes on the existing single-lane path. results[i] is
-  /// byte-identical to what `lanes[i]->run_from(snapshot, limits)` would
-  /// produce — the pack only amortizes fetch/dispatch, never semantics.
-  /// Falls back to sequential run_from calls when packing cannot apply
-  /// (one lane, switch dispatch mode, a snapshot sink armed, mismatched
-  /// programs, or more than machine::kMaxLanes lanes).
-  static void run_lockstep(Simulator* const* lanes, std::size_t count,
-                           const SimSnapshot& snapshot,
-                           const SimLimits& limits, SimResult* results);
 
  private:
   const Program& program_;

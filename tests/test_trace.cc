@@ -11,6 +11,7 @@
 #include "fault/campaign.h"
 #include "fault/llfi.h"
 #include "fault/pinfi.h"
+#include "ir/irbuilder.h"
 #include "machine/dispatch.h"
 #include "machine/runtime.h"
 #include "vm/interpreter.h"
@@ -422,6 +423,41 @@ TEST(DispatchEquiv, PersistentModelRearmsIdentically) {
     const fault::CampaignResult th = run_cell(prog, pinfi, model);
     expect_same_campaign(sw, th);
   }
+}
+
+TEST(DispatchEquiv, GepWithHugeIndexWrapsOnBothModes) {
+  // A corrupted index makes idx * stride overflow 64 bits. Address
+  // arithmetic wraps modulo 2^64, like the simulator's effective_address:
+  // 0x4000000000000001 * 8 == 8 (mod 2^64), so both GEPs land one i64
+  // past the base. One index is loaded (a decoded GepTerm), the other is
+  // a constant (folded into the micro-op's immediate at decode time).
+  DispatchModeGuard guard;
+  constexpr std::int64_t kHuge = 0x4000000000000001;
+  ir::Module m("gep");
+  auto& t = m.types();
+  auto* f = m.create_function(t.func_type(t.i64(), {}), "main");
+  ir::IRBuilder b(m);
+  b.set_insert_point(f->create_block("entry"));
+  ir::Value* base = b.alloca_of(t.i64());
+  b.store(m.const_i64(kHuge), base);
+  ir::Value* loaded = b.gep(base, {b.load(base)});
+  ir::Value* folded = b.gep(base, {m.const_i64(kHuge)});
+  ir::Value* origin = b.cast(ir::Opcode::PtrToInt, base, t.i64());
+  ir::Value* d1 = b.sub(b.cast(ir::Opcode::PtrToInt, loaded, t.i64()), origin);
+  ir::Value* d2 = b.sub(b.cast(ir::Opcode::PtrToInt, folded, t.i64()), origin);
+  b.ret(b.add(b.mul(d1, m.const_i64(1000)), d2));
+  f->renumber();
+
+  vm::Interpreter vm(m);
+  machine::set_dispatch_mode(DispatchMode::Switch);
+  const vm::RunResult sw = vm.run();
+  machine::set_dispatch_mode(DispatchMode::Threaded);
+  const vm::RunResult th = vm.run();
+  ASSERT_TRUE(sw.completed());
+  ASSERT_TRUE(th.completed());
+  EXPECT_EQ(sw.exit_value, 8 * 1000 + 8);
+  EXPECT_EQ(th.exit_value, sw.exit_value);
+  EXPECT_EQ(th.dynamic_instructions, sw.dynamic_instructions);
 }
 
 }  // namespace

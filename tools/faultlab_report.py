@@ -20,10 +20,7 @@ external assets, stdlib only):
     decomposition as fault/attribution.cc, naming the gep/phi/call drivers;
   * a trap-kind histogram over all crashing trials;
   * trial latency p50/p95/p99 (from the event log, plus the manifest's
-    exact values when provided) and the metrics snapshot's histograms;
-  * a lockstep-lane panel — mean pack occupancy, mean active lanes
-    (lane-uops per shared fetch), divergence rate, and a histogram of
-    the micro-op offsets at which lanes diverged from their pack.
+    exact values when provided) and the metrics snapshot's histograms.
 
 With --status, renders a FAULTLAB_STATUS campaign snapshot (schema v1)
 instead: grid progress, per-cell convergence table, per-worker state, and
@@ -333,84 +330,6 @@ def dispatch_summary(manifest, metrics):
     except ValueError:
         pass
     return row
-
-
-LOCKSTEP_FIELDS = (
-    "lanes", "pack_groups", "pack_lanes", "pack_uops", "pack_lane_uops",
-    "pack_divergences", "mean_pack_lanes",
-)
-
-
-def lockstep_summary(manifest, metrics):
-    """Lockstep-lane provenance: lane cap plus pack counters, preferring the
-    manifest's run-level columns and falling back to the metrics snapshot's
-    pack.* counters. Adds derived occupancy figures: mean pack occupancy
-    (lanes per group at start) and mean active lanes (lane-uops per shared
-    fetch — what the amortization actually bought after divergence masking).
-    Empty dict when neither source has lane data (pre-lockstep artifacts)."""
-    row = {}
-    if manifest and "pack_groups" in manifest[0]:
-        for field in LOCKSTEP_FIELDS:
-            row[field] = manifest[0].get(field, "")
-    elif metrics:
-        counters = metrics.get("counters", {})
-        if any(k.startswith("pack.") for k in counters):
-            row = {
-                "pack_groups": counters.get("pack.groups", 0),
-                "pack_lanes": counters.get("pack.lanes", 0),
-                "pack_uops": counters.get("pack.uops", 0),
-                "pack_lane_uops": counters.get("pack.lane_uops", 0),
-                "pack_divergences": counters.get("pack.divergences", 0),
-            }
-    if not row:
-        return {}
-    try:
-        groups = float(row.get("pack_groups", 0) or 0)
-        lanes = float(row.get("pack_lanes", 0) or 0)
-        uops = float(row.get("pack_uops", 0) or 0)
-        lane_uops = float(row.get("pack_lane_uops", 0) or 0)
-        divergences = float(row.get("pack_divergences", 0) or 0)
-        if groups > 0 and "mean_pack_lanes" not in row:
-            row["mean_pack_lanes"] = f"{lanes / groups:.2f}"
-        if uops > 0:
-            row["mean active lanes"] = f"{lane_uops / uops:.2f}"
-        if lanes > 0:
-            row["divergence rate"] = f"{100.0 * divergences / lanes:.1f}%"
-    except ValueError:
-        pass
-    return row
-
-
-def divergence_histogram_svg(metrics):
-    """Bar chart of pack.divergence_offset — the log2-bucketed micro-op
-    offset (from the shared snapshot) at which lanes left their pack.
-    Returns '' when the metrics snapshot has no such histogram."""
-    hist = (metrics or {}).get("histograms", {}).get("pack.divergence_offset")
-    buckets = (hist or {}).get("buckets") or []
-    if not buckets:
-        return ""
-    peak = max(count for _, count in buckets) or 1
-    bar_w, gap, h = 46, 10, 120
-    width = len(buckets) * (bar_w + gap)
-    parts = [
-        f'<svg width="{width}" height="{h + 34}" '
-        f'xmlns="http://www.w3.org/2000/svg">'
-    ]
-    for i, (lo, count) in enumerate(buckets):
-        x = i * (bar_w + gap)
-        bh = h * count / peak
-        label = f"{lo:,}" if lo < 1 << 20 else f"2^{max(lo, 1).bit_length() - 1}"
-        parts.append(
-            f'<rect x="{x}" y="{h - bh:.1f}" width="{bar_w}" '
-            f'height="{bh:.1f}" fill="#2980b9">'
-            f"<title>&#8805;{lo:,} uops: {count} lanes</title></rect>"
-            f'<text x="{x + bar_w / 2}" y="{h + 12}" font-size="9" '
-            f'text-anchor="middle">{esc(label)}</text>'
-            f'<text x="{x + bar_w / 2}" y="{h + 26}" font-size="11" '
-            f'text-anchor="middle">{count}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
 
 
 def traced_events(events):
@@ -845,30 +764,6 @@ def render(events, metrics, manifest):
         for value in dispatch.values():
             out.append(f"<td>{esc(value)}</td>")
         out.append("</tr></table>")
-
-    lockstep = lockstep_summary(manifest, metrics)
-    if lockstep:
-        out.append("<h2>Lockstep lanes</h2>")
-        out.append(
-            "<p>Same-window trials packed into lane groups driven by one "
-            "decoded micro-op fetch. Mean active lanes is lane-uops per "
-            "shared fetch — the realized amortization after divergence "
-            "masking.</p>"
-        )
-        out.append("<table><tr>")
-        for key in lockstep:
-            out.append(f"<th>{esc(key)}</th>")
-        out.append("</tr><tr>")
-        for value in lockstep.values():
-            out.append(f"<td>{esc(value)}</td>")
-        out.append("</tr></table>")
-        svg = divergence_histogram_svg(metrics)
-        if svg:
-            out.append(
-                "<h3 style='font-size:14px'>Divergence offsets "
-                "(micro-ops from the shared snapshot, log2 buckets)</h3>"
-            )
-            out.append(svg)
 
     if manifest:
         out.append("<h2>Run manifest</h2><table><tr>")
