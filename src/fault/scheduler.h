@@ -4,13 +4,16 @@
 // Compared to calling run_campaign per cell, the scheduler
 //  * profiles each engine once — a single instrumented golden run records
 //    the dynamic counts of *all* categories (InjectorEngine::profile_all),
-//    instead of one golden re-run per category,
+//    instead of one golden re-run per category — and profiles distinct
+//    engines in parallel on the same worker count as the trials, longest
+//    golden run first,
 //  * spins the thread pool up once for the whole grid: trials from every
 //    campaign land in one shared queue that idle workers steal from, so
 //    cores never drain between campaigns,
-//  * captures worker exceptions via std::exception_ptr and rethrows them
-//    after joining as a CampaignError naming the failing campaign, instead
-//    of letting them escape a std::thread and std::terminate the process,
+//  * captures worker exceptions (profiling and trials alike) via
+//    std::exception_ptr and rethrows them after joining as a CampaignError
+//    naming the failing campaign, instead of letting them escape a
+//    std::thread and std::terminate the process,
 //  * records observability data: per-campaign wall time, trials/sec,
 //    injected/activated counters, and a machine-readable run manifest.
 //
@@ -43,8 +46,8 @@
 
 namespace faultlab::fault {
 
-/// Thrown by CampaignScheduler::run when a trial worker throws: identifies
-/// the campaign and carries the original exception for rethrow.
+/// Thrown by CampaignScheduler::run when a profiling or trial worker throws:
+/// identifies the campaign and carries the original exception for rethrow.
 class CampaignError : public std::runtime_error {
  public:
   CampaignError(std::string app, std::string tool, ir::Category category,
@@ -122,7 +125,9 @@ struct CampaignTiming {
 struct RunManifest {
   std::size_t threads = 0;        ///< worker count actually used
   FaultModel model;               ///< fault-model knobs in effect
-  double profile_seconds = 0.0;   ///< single-pass profiling phase
+  /// Wall time of the whole profiling phase: every distinct engine's
+  /// single-pass profile_all(), run in parallel across the worker pool.
+  double profile_seconds = 0.0;
   double wall_seconds = 0.0;      ///< whole run() call
   /// Dispatch mode in effect ("threaded" | "switch"), and the trace-cache
   /// activity attributable to this run (process-wide counter deltas across
@@ -156,8 +161,8 @@ struct SchedulerProgress {
 };
 
 struct SchedulerOptions {
-  /// Worker threads for the shared trial pool. 0 defers to FAULTLAB_THREADS
-  /// if set, otherwise hardware concurrency.
+  /// Worker threads for profiling and the shared trial pool. 0 defers to
+  /// FAULTLAB_THREADS if set, otherwise hardware concurrency.
   std::size_t threads = 0;
   /// Recorded in the run manifest (the scheduler itself is model-agnostic;
   /// the engines were constructed with it).
@@ -185,7 +190,9 @@ class CampaignScheduler {
 
   /// Runs every queued trial on one shared pool and returns the campaign
   /// results in add() order. Clears the queue. Throws CampaignError when a
-  /// worker throws (after all workers have been joined).
+  /// worker throws (after all workers have been joined). A profiling
+  /// failure names the first campaign, in add() order, whose engine failed,
+  /// so the error is the same at any thread count.
   std::vector<CampaignResult> run();
 
   /// Manifest of the last run() call.

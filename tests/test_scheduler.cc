@@ -1,9 +1,15 @@
 // Campaign scheduler tests: grid determinism across thread counts,
-// single-pass profiling equivalence, exception propagation from trial
-// workers, manifest contents, and FAULTLAB_TRIALS parsing.
+// single-pass profiling equivalence, parallel profiling (engines profile
+// concurrently, even in a zero-trial grid, and build the same state at any
+// thread count), exception propagation from profiling and trial workers,
+// manifest contents, and FAULTLAB_TRIALS parsing.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
@@ -362,9 +368,12 @@ TEST(Scheduler, ProfileAllMatchesPerCategoryProfile) {
   }
 }
 
-/// Engine whose inject() always throws — the std::terminate repro.
-class ThrowingEngine final : public InjectorEngine {
+/// Engine whose inject() always throws — the std::terminate repro. The
+/// profiling mocks below derive from it.
+class ThrowingEngine : public InjectorEngine {
  public:
+  explicit ThrowingEngine(std::uint64_t golden_instructions = 1)
+      : golden_instructions_(golden_instructions) {}
   const char* tool_name() const noexcept override { return "MOCK"; }
   std::uint64_t profile(ir::Category) override { return 8; }
   TrialRecord inject(ir::Category, std::uint64_t, Rng&) override {
@@ -373,9 +382,12 @@ class ThrowingEngine final : public InjectorEngine {
   const std::string& golden_output() const noexcept override {
     return golden_;
   }
-  std::uint64_t golden_instructions() const noexcept override { return 1; }
+  std::uint64_t golden_instructions() const noexcept override {
+    return golden_instructions_;
+  }
 
  private:
+  std::uint64_t golden_instructions_;
   std::string golden_;
 };
 
@@ -417,6 +429,200 @@ TEST(Scheduler, ThrowingCampaignInAGridStillThrows) {
   boom.trials = 4;
   scheduler.add(bad, boom);
   EXPECT_THROW(scheduler.run(), CampaignError);
+}
+
+/// Engine whose profile_all() throws: profiling failures must surface as
+/// a CampaignError like trial failures do.
+class ProfileThrowingEngine final : public ThrowingEngine {
+ public:
+  using ThrowingEngine::ThrowingEngine;
+  CategoryCounts profile_all() override {
+    throw std::runtime_error("profiler exploded");
+  }
+};
+
+TEST(Scheduler, ProfilingFailureSurfacesAsCampaignError) {
+  // Two failing engines beside a real one. The later-added one has the
+  // longer golden run, so the pool profiles it first; the error must still
+  // name the first failing campaign in add() order, at any thread count.
+  auto prog = driver::compile(kGridProgram, "grid");
+  for (std::size_t threads : {1u, 4u}) {
+    LlfiEngine llfi(prog.module());
+    ProfileThrowingEngine first(1);
+    ProfileThrowingEngine second(1'000'000'000);
+    SchedulerOptions options;
+    options.threads = threads;
+    CampaignScheduler scheduler(options);
+    CampaignConfig good;
+    good.app = "grid";
+    good.category = ir::Category::All;
+    good.trials = 4;
+    scheduler.add(llfi, good);
+    CampaignConfig boom;
+    boom.app = "boomapp";
+    boom.category = ir::Category::Cmp;
+    boom.trials = 4;
+    scheduler.add(first, boom);
+    CampaignConfig other;
+    other.app = "otherapp";
+    other.category = ir::Category::Load;
+    other.trials = 4;
+    scheduler.add(second, other);
+    try {
+      scheduler.run();
+      FAIL() << "expected CampaignError at " << threads << " threads";
+    } catch (const CampaignError& e) {
+      EXPECT_EQ(e.app(), "boomapp") << threads << " threads";
+      EXPECT_EQ(e.tool(), "MOCK");
+      EXPECT_EQ(e.category(), ir::Category::Cmp);
+      EXPECT_NE(std::string(e.what()).find("profiler exploded"),
+                std::string::npos);
+      ASSERT_NE(e.cause(), nullptr);
+      EXPECT_THROW(std::rethrow_exception(e.cause()), std::runtime_error);
+    }
+  }
+}
+
+/// Arrival point shared by LatchEngines: each profile_all() waits until
+/// `expected` of them are inside it at once. The wait is bounded, so a
+/// scheduler that profiles serially fails the test instead of hanging it.
+struct ProfileLatch {
+  std::mutex mutex;
+  std::condition_variable arrived_cv;
+  std::size_t arrived = 0;
+  std::size_t expected = 0;
+};
+
+class LatchEngine final : public ThrowingEngine {
+ public:
+  explicit LatchEngine(ProfileLatch& latch) : latch_(latch) {}
+  CategoryCounts profile_all() override {
+    {
+      std::unique_lock<std::mutex> lock(latch_.mutex);
+      ++latch_.arrived;
+      latch_.arrived_cv.notify_all();
+      if (!latch_.arrived_cv.wait_for(lock, std::chrono::seconds(10), [this] {
+            return latch_.arrived >= latch_.expected;
+          }))
+        throw std::runtime_error("engines were not profiled concurrently");
+    }
+    return ThrowingEngine::profile_all();
+  }
+
+ private:
+  ProfileLatch& latch_;
+};
+
+TEST(Scheduler, ProfilesEnginesInParallelWithZeroTrials) {
+  // A zero-trial grid has no trial chunks; the profiling pool is sized by
+  // distinct engines, so all four still profile at the same time.
+  ProfileLatch latch;
+  latch.expected = 4;
+  std::vector<std::unique_ptr<LatchEngine>> engines;
+  SchedulerOptions options;
+  options.threads = 4;
+  CampaignScheduler scheduler(options);
+  for (std::size_t i = 0; i < latch.expected; ++i) {
+    engines.push_back(std::make_unique<LatchEngine>(latch));
+    CampaignConfig cfg;
+    cfg.app = "latch" + std::to_string(i);
+    cfg.category = ir::Category::All;
+    cfg.trials = 0;
+    scheduler.add(*engines.back(), cfg);
+  }
+  const std::vector<CampaignResult> results = scheduler.run();
+  EXPECT_EQ(latch.arrived, latch.expected);
+  ASSERT_EQ(results.size(), latch.expected);
+  for (const CampaignResult& r : results) {
+    EXPECT_EQ(r.profiled_count, 8u) << r.app;
+    EXPECT_TRUE(r.trials.empty()) << r.app;
+  }
+}
+
+/// What profiling leaves in a grid's engines and what trials then read:
+/// each engine's counts for every category (as the campaigns' profiled
+/// counts), snapshot layout and the window sampled k values resume from,
+/// plus the trial records.
+struct ProfiledGrid {
+  std::vector<CampaignResult> results;
+  std::vector<std::uint64_t> snapshots;
+  std::vector<std::uint64_t> strides;
+  std::vector<std::uint64_t> windows;
+};
+
+/// A program under test and its snapshot stride (0 = automatic).
+struct StridedProgram {
+  const driver::CompiledProgram* prog;
+  std::uint64_t stride;
+};
+
+ProfiledGrid profile_grid(const std::vector<StridedProgram>& programs,
+                          std::size_t threads) {
+  // Fresh engines per call, so each run profiles all of them itself.
+  std::vector<std::unique_ptr<InjectorEngine>> engines;
+  for (const StridedProgram& p : programs) {
+    CheckpointPolicy policy;
+    policy.stride = p.stride;
+    engines.push_back(
+        std::make_unique<LlfiEngine>(p.prog->module(), FaultModel{}, policy));
+    engines.push_back(std::make_unique<PinfiEngine>(p.prog->program(),
+                                                    FaultModel{}, policy));
+  }
+  SchedulerOptions options;
+  options.threads = threads;
+  CampaignScheduler scheduler(options);
+  for (const auto& engine : engines) {
+    for (ir::Category c : ir::kAllCategories) {
+      CampaignConfig cfg;
+      cfg.app = "app";
+      cfg.category = c;
+      cfg.trials = 3;
+      cfg.seed = 11;
+      scheduler.add(*engine, cfg);
+    }
+  }
+  ProfiledGrid out;
+  out.results = scheduler.run();
+  std::size_t cell = 0;
+  for (const auto& engine : engines) {
+    const CheckpointStats stats = engine->checkpoint_stats();
+    out.snapshots.push_back(stats.snapshots);
+    out.strides.push_back(stats.stride);
+    for (ir::Category c : ir::kAllCategories) {
+      const std::uint64_t n = out.results[cell++].profiled_count;
+      if (n == 0) continue;
+      for (std::uint64_t k : {std::uint64_t{1}, n / 3 + 1, 2 * n / 3 + 1, n})
+        out.windows.push_back(engine->window_of(c, k));
+    }
+  }
+  return out;
+}
+
+TEST(Scheduler, ParallelProfilingBuildsSameStateAtOneAndFourThreads) {
+  auto grid = driver::compile(kGridProgram, "grid");
+  auto mcf = driver::compile(apps::benchmark("mcf").source, "mcf");
+  auto libquantum =
+      driver::compile(apps::benchmark("libquantum").source, "libquantum");
+  // The small grid program needs a dense stride to have snapshots at all.
+  const std::vector<StridedProgram> programs = {
+      {&grid, 500}, {&mcf, 0}, {&libquantum, 0}};
+  const ProfiledGrid serial = profile_grid(programs, 1);
+  const ProfiledGrid parallel = profile_grid(programs, 4);
+
+  EXPECT_EQ(serial.snapshots, parallel.snapshots);
+  EXPECT_EQ(serial.strides, parallel.strides);
+  EXPECT_EQ(serial.windows, parallel.windows);
+  // Every engine captured snapshots, so the windows compared are real ones.
+  for (std::uint64_t snapshots : serial.snapshots) EXPECT_GT(snapshots, 0u);
+  ASSERT_EQ(serial.results.size(), parallel.results.size());
+  for (std::size_t i = 0; i < serial.results.size(); ++i) {
+    EXPECT_EQ(serial.results[i].tool, parallel.results[i].tool);
+    EXPECT_EQ(serial.results[i].category, parallel.results[i].category);
+    EXPECT_EQ(serial.results[i].profiled_count,
+              parallel.results[i].profiled_count)
+        << "cell " << i;
+    expect_same_records(serial.results[i].trials, parallel.results[i].trials);
+  }
 }
 
 TEST(Scheduler, ManifestRecordsTimingsAndCounters) {
