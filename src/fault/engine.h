@@ -66,8 +66,8 @@ struct CheckpointPolicy {
 };
 
 /// Handles to the checkpoint layer's counters in the process-wide metrics
-/// registry (shared by LlfiEngine and PinfiEngine; the per-engine split
-/// lives in CheckpointStats below). Call sites gate every use on
+/// registry (shared by every CheckpointedEngine, so by LLFI and PINFI;
+/// the per-engine split lives in CheckpointStats below). Call sites gate every use on
 /// obs::metrics_enabled(), so the disabled path costs one cached-bool
 /// branch.
 struct CheckpointMetrics {
@@ -193,10 +193,11 @@ class InjectorEngine {
   virtual std::uint64_t profile(ir::Category category) = 0;
 
   /// Dynamic counts for *all* categories from a single instrumented run.
-  /// The default falls back to one profile() run per category; LlfiEngine
-  /// and PinfiEngine override it with a genuine single-pass version, which
-  /// is what the campaign scheduler uses to avoid per-category golden
-  /// re-runs. Must agree with profile() for every category.
+  /// The default falls back to one profile() run per category;
+  /// CheckpointedEngine (LLFI and PINFI) overrides it with a genuine
+  /// single-pass version, which is what the campaign scheduler uses to
+  /// avoid per-category golden re-runs. Must agree with profile() for
+  /// every category.
   virtual CategoryCounts profile_all() {
     CategoryCounts out;
     for (ir::Category c : ir::kAllCategories) out[c] = profile(c);

@@ -79,6 +79,23 @@ struct Model {
   /// corruption (intermittent and permanent).
   bool persistent() const noexcept { return kind != FaultKind::Transient; }
 
+  /// Whether the o-th execution of the armed site (0-based, counting the
+  /// initial injection) gets corrupted: permanent always, intermittent on
+  /// the burst pattern (burst_length fires, burst_gap clean executions
+  /// between consecutive fires).
+  bool fires_at(std::uint64_t o) const noexcept {
+    if (kind == FaultKind::Permanent) return true;
+    const std::uint64_t period = std::uint64_t{burst_gap} + 1;
+    return o % period == 0 && o / period < burst_length;
+  }
+
+  /// True when no occurrence >= next_o can fire any more (intermittent
+  /// burst exhausted). Permanent faults never finish.
+  bool burst_done(std::uint64_t next_o) const noexcept {
+    return kind == FaultKind::Intermittent &&
+           next_o / (std::uint64_t{burst_gap} + 1) >= burst_length;
+  }
+
   /// Stable human-readable label, e.g. "transient", "stuck-at-1-m2",
   /// "intermittent-b4g1-byte-time". Used in CSVs and the event schema.
   std::string name() const;

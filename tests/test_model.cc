@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "driver/pipeline.h"
 #include "fault/campaign.h"
@@ -113,6 +114,28 @@ TEST(Model, ApplySemantics) {
 
   Model intermittent = Model::parse("intermittent");
   EXPECT_EQ(intermittent.apply(0b1010, 0b0110), 0b1100u);  // XOR like transient
+}
+
+TEST(Model, BurstSchedule) {
+  // Both engines' persistent hooks re-fire the armed site on this
+  // schedule: occurrence 0 is the first injection.
+  const Model permanent = Model::parse("stuck-at-1");
+  for (std::uint64_t o : {0u, 1u, 2u, 7u, 1000u}) {
+    EXPECT_TRUE(permanent.fires_at(o)) << o;
+    EXPECT_FALSE(permanent.burst_done(o)) << o;
+  }
+
+  const Model m = Model::parse("intermittent:burst=4,gap=1");
+  for (std::uint64_t o = 0; o < 12; ++o)
+    EXPECT_EQ(m.fires_at(o), o == 0 || o == 2 || o == 4 || o == 6) << o;
+  EXPECT_FALSE(m.burst_done(7));
+  EXPECT_TRUE(m.burst_done(8));
+
+  const Model once = Model::parse("intermittent:burst=1,gap=0");
+  EXPECT_TRUE(once.fires_at(0));
+  EXPECT_FALSE(once.fires_at(1));
+  EXPECT_FALSE(once.burst_done(0));
+  EXPECT_TRUE(once.burst_done(1));
 }
 
 TEST(Model, FromEnvParsesAndFallsBack) {
@@ -299,15 +322,47 @@ TEST(ModelCampaign, DefaultModelMatchesExplicitTransient) {
             fingerprint(run_campaign(explicit_model, small_config())));
 }
 
+/// The message of the std::runtime_error `construct` throws ("" if none).
+template <typename Construct>
+std::string construction_error(Construct construct) {
+  try {
+    construct();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ModelCampaign, MemoryCellTargetsRejected) {
   driver::CompiledProgram prog = driver::compile(kModelProgram, "t");
   const Model mem = Model::parse("transient:target=mem");
-  EXPECT_THROW(
-      LlfiEngine(prog.module(), {}, CheckpointPolicy::from_env(), mem),
-      std::runtime_error);
-  EXPECT_THROW(
-      PinfiEngine(prog.program(), {}, CheckpointPolicy::from_env(), mem),
-      std::runtime_error);
+  EXPECT_EQ(construction_error([&] {
+              LlfiEngine(prog.module(), {}, CheckpointPolicy::from_env(), mem);
+            }).rfind("LLFI: memory-cell", 0),
+            0u);
+  EXPECT_EQ(construction_error([&] {
+              PinfiEngine(prog.program(), {}, CheckpointPolicy::from_env(),
+                          mem);
+            }).rfind("PINFI: memory-cell", 0),
+            0u);
+}
+
+TEST(ModelCampaign, TrappingGoldenRunRejectedWithToolName) {
+  // An integer division by zero traps the fault-free run itself, so there
+  // is no golden output to classify trials against.
+  driver::CompiledProgram prog = driver::compile(R"(
+    int zero[1];
+    int main() {
+      print_int(7 / zero[0]);
+      return 0;
+    }
+  )", "trap");
+  EXPECT_EQ(construction_error([&] { LlfiEngine engine(prog.module()); })
+                .rfind("LLFI: golden run", 0),
+            0u);
+  EXPECT_EQ(construction_error([&] { PinfiEngine engine(prog.program()); })
+                .rfind("PINFI: golden run", 0),
+            0u);
 }
 
 TEST(ModelCampaign, PermanentActivatesMoreThanTransient) {

@@ -2,14 +2,18 @@
 // single-pass profiling equivalence, parallel profiling (engines profile
 // concurrently, even in a zero-trial grid, and build the same state at any
 // thread count), exception propagation from profiling and trial workers,
-// manifest contents, and FAULTLAB_TRIALS parsing.
+// manifest contents, FAULTLAB_TRIALS parsing, and the engines'
+// inject()/inject_in() contract on every reset path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <type_traits>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
@@ -225,6 +229,94 @@ TEST(Engines, EvictedSnapshotsFallBackWithoutChangingRecords) {
   EXPECT_EQ(cold.bit, warm.bit);
   EXPECT_EQ(cold.static_site, warm.static_site);
   EXPECT_EQ(cold.injected, warm.injected);
+}
+
+/// The inject()/inject_in() contract of InjectorEngine, on both tools:
+/// inject() equals inject_in() on a resident context equals
+/// inject_in(nullptr).
+template <typename Engine>
+class EngineContract : public ::testing::Test {
+ protected:
+  static std::unique_ptr<Engine> make(const driver::CompiledProgram& prog,
+                                      const Model& model) {
+    // The small grid program needs a dense stride to have several windows.
+    const CheckpointPolicy policy{/*stride=*/500, true};
+    if constexpr (std::is_same_v<Engine, LlfiEngine>)
+      return std::make_unique<Engine>(prog.module(), FaultModel{}, policy,
+                                      model);
+    else
+      return std::make_unique<Engine>(prog.program(), FaultModel{}, policy,
+                                      model);
+  }
+};
+
+struct EngineName {
+  template <typename Engine>
+  static std::string GetName(int) {
+    return std::is_same_v<Engine, LlfiEngine> ? "LLFI" : "PINFI";
+  }
+};
+
+using EngineTypes = ::testing::Types<LlfiEngine, PinfiEngine>;
+TYPED_TEST_SUITE(EngineContract, EngineTypes, EngineName);
+
+TYPED_TEST(EngineContract, InjectInMatchesInjectOnEveryPath) {
+  auto prog = driver::compile(kGridProgram, "grid");
+  for (const char* spec : {"transient", "intermittent:trigger=time"}) {
+    SCOPED_TRACE(spec);
+    const auto engine = TestFixture::make(prog, Model::parse(spec));
+    const CategoryCounts counts = engine->profile_all();
+    struct Draw {
+      ir::Category category;
+      std::uint64_t k;
+      std::uint64_t seed;
+    };
+    std::vector<Draw> draws;
+    Rng rng(1234);
+    while (draws.size() < 40) {
+      const ir::Category c =
+          ir::kAllCategories[rng.below(ir::kNumCategories)];
+      if (counts[c] == 0) continue;
+      draws.push_back({c, rng.range(1, counts[c]), rng()});
+    }
+    std::stable_sort(draws.begin(), draws.end(),
+                     [&](const Draw& a, const Draw& b) {
+                       return engine->window_of(a.category, a.k) <
+                              engine->window_of(b.category, b.k);
+                     });
+
+    std::vector<TrialRecord> fresh, null_context, in_order, reversed;
+    for (const Draw& d : draws) {
+      Rng r1(d.seed), r2(d.seed);
+      fresh.push_back(engine->inject(d.category, d.k, r1));
+      null_context.push_back(engine->inject_in(nullptr, d.category, d.k, r2));
+    }
+    const std::unique_ptr<TrialContext> context = engine->make_context();
+    for (const Draw& d : draws) {
+      Rng r(d.seed);
+      in_order.push_back(engine->inject_in(context.get(), d.category, d.k, r));
+    }
+    for (auto d = draws.rbegin(); d != draws.rend(); ++d) {
+      Rng r(d->seed);
+      reversed.push_back(
+          engine->inject_in(context.get(), d->category, d->k, r));
+    }
+    std::reverse(reversed.begin(), reversed.end());
+
+    expect_same_records(null_context, fresh);
+    expect_same_records(in_order, fresh);
+    expect_same_records(reversed, fresh);
+    // The resident context took both reset paths: O(dirty) delta restores
+    // within a window and full restores where the window changed.
+    std::size_t delta = 0, full = 0;
+    for (const auto* records : {&in_order, &reversed})
+      for (const TrialRecord& r : *records) {
+        if (r.restored && r.delta_restored) ++delta;
+        if (r.restored && !r.delta_restored) ++full;
+      }
+    EXPECT_GT(delta, 0u);
+    EXPECT_GT(full, 0u);
+  }
 }
 
 /// Minimal snapshot shape the store needs: a golden position plus a paged
