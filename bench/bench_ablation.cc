@@ -195,17 +195,14 @@ int main() {
                "code --\n"
             << gep_table.to_string();
 
-  // Same artifact trio as the other benches: results CSV, run manifest,
-  // and a BENCH_perf.json entry with checkpoint hit rates and latency
-  // percentiles.
+  // Same artifact pair as the other benches: results CSV and run manifest
+  // (checkpoint hit rates and latency percentiles per campaign).
   benchx::ExperimentRun run;
   for (const fault::CampaignResult& r : results) {
     fault::CampaignResult copy = r;
     run.results.add(std::move(copy));
   }
   run.manifest = scheduler.manifest();
-  run.seed = fault::CampaignConfig{}.seed;
-  for (const auto& engine : engines) run.checkpoints += engine->checkpoint_stats();
   benchx::save_results(run, "ablation.csv");
   return 0;
 }

@@ -2,9 +2,8 @@
 // both tools, 'all' instruction category, across the six benchmarks.
 //
 // The experiment runs twice in this process — once per dispatch mode — so
-// BENCH_perf.json always holds an interleaved threaded/switch A/B pair
-// (`fig3_aggregate` vs `fig3_aggregate_switchdispatch`) measured on the
-// same machine state, and the binary itself re-checks that the two modes
+// every run reports a threaded/switch wall-time pair measured on the same
+// machine state, and the binary itself re-checks that the two modes
 // produce byte-identical results.
 #include <cstdlib>
 #include <iostream>
@@ -45,12 +44,11 @@ int main() {
   benchx::save_results(run, "fig3_aggregate.csv");
 
   // The switch-dispatch leg of the A/B pair: identical grid, seed, and
-  // draws; write_perf_entry keys it `fig3_aggregate_switchdispatch`.
+  // draws.
   machine::set_dispatch_mode(machine::DispatchMode::Switch);
   const benchx::ExperimentRun ab =
       benchx::run_experiment(apps, {ir::Category::All}, trials);
   machine::set_dispatch_mode(env_mode);
-  benchx::write_perf_entry("fig3_aggregate", ab);
   const bool identical = fault::results_csv(ab.results).to_string() ==
                          fault::results_csv(run.results).to_string();
   std::cout << "[dispatch A/B: threaded " << run.manifest.wall_seconds

@@ -458,45 +458,4 @@ BENCHMARK(BM_ProfileAllWithCheckpoints)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main: run the microbenchmarks, then one small checkpointed
-// LLFI+PINFI campaign over the kernel so bench_perf leaves a
-// machine-readable perf record (wall time, trials/sec, snapshot hit rate)
-// in BENCH_perf.json like the table/figure benches do.
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  using namespace faultlab;
-  std::vector<benchx::CompiledApp> apps;
-  apps.push_back({"perf_kernel", driver::compile(kKernel, "perf_kernel")});
-  const benchx::ExperimentRun run = benchx::run_experiment(
-      apps, {ir::Category::All}, fault::default_trials());
-  benchx::write_perf_entry("bench_perf", run);
-
-  // Event-log overhead at campaign granularity: the identical experiment
-  // (same seed, same draws) with the flight recorder off and then on,
-  // recorded as a BENCH_perf pair. The first run above had the recorder in
-  // whatever state FAULTLAB_EVENTS left it; this pair pins both states.
-  obs::EventLog::global().close();
-  const benchx::ExperimentRun off = benchx::run_experiment(
-      apps, {ir::Category::All}, fault::default_trials());
-  benchx::write_perf_entry("bench_perf_events_off", off);
-  obs::EventLog::global().open("bench_perf_events.jsonl");
-  const benchx::ExperimentRun on = benchx::run_experiment(
-      apps, {ir::Category::All}, fault::default_trials());
-  benchx::write_perf_entry("bench_perf_events_on", on);
-  obs::EventLog::global().close();
-
-  // Propagation-tracing overhead at campaign granularity: the same
-  // experiment with the tracer armed. write_perf_entry suffixes the key
-  // ("bench_perf_prop"), so the untraced "bench_perf" entry above is the
-  // paired baseline.
-  obs::set_prop_enabled(true);
-  const benchx::ExperimentRun prop = benchx::run_experiment(
-      apps, {ir::Category::All}, fault::default_trials());
-  benchx::write_perf_entry("bench_perf", prop);
-  obs::set_prop_enabled(false);
-  return 0;
-}
+BENCHMARK_MAIN();

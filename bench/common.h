@@ -30,17 +30,12 @@ std::vector<CompiledApp> compile_all_apps();
 struct ExperimentRun {
   fault::ResultSet results;
   fault::RunManifest manifest;
-  /// Checkpoint-layer counters summed over every engine in the run.
-  fault::CheckpointStats checkpoints;
-  /// Restore/execute/classify wall time summed over every engine's trials.
-  fault::PhaseStats phases;
-  std::uint64_t seed = 0;
 };
 
 /// Scheduler options shared by every bench binary: FAULTLAB_THREADS pins
 /// the worker count, and a per-campaign completion line goes to stderr
-/// unless FAULTLAB_PROGRESS=1 (the scheduler's own single-line reporter)
-/// is on, which would be clobbered by interleaved output.
+/// unless the FAULTLAB_PROGRESS heartbeat (obs::CampaignMonitor) is on,
+/// whose lines would interleave with it.
 fault::SchedulerOptions default_scheduler_options(
     const fault::FaultModel& model = {});
 
@@ -63,18 +58,7 @@ void print_banner(const std::string& what, std::size_t trials);
 /// Saves a CSV beside the current working directory, reporting the path.
 void save_results(const fault::ResultSet& rs, const std::string& filename);
 
-/// Saves the results CSV plus the run manifest (<stem>.manifest.csv), and
-/// records the run's perf counters in BENCH_perf.json (see write_perf_entry).
+/// Saves the results CSV plus the run manifest (<stem>.manifest.csv).
 void save_results(const ExperimentRun& run, const std::string& filename);
-
-/// Upserts one experiment's entry in ./BENCH_perf.json — a top-level JSON
-/// object keyed by experiment name, one entry per line, so successive bench
-/// binaries sharing a working directory accumulate into one manifest.
-/// Records wall time, trials/sec, thread count, seed, the checkpoint
-/// layer's stride/snapshot/hit-rate counters, dispatch provenance (mode +
-/// trace-cache counters), and the restore/execute/classify phase split.
-/// Runs under a non-default dispatch mode are keyed
-/// `<experiment>_<mode>dispatch`, so A/B pairs coexist.
-void write_perf_entry(const std::string& experiment, const ExperimentRun& run);
 
 }  // namespace faultlab::benchx

@@ -4,17 +4,20 @@
 //
 //   ./build/examples/propagation_trace [app] [category] [samples]
 //
-// For each sampled injection the tracer reports how far the corruption
-// spread (values, memory bytes, branches, program output) and what the
-// run's final outcome was — the raw material for answering "why did this
-// particular fault become an SDC while that one stayed benign?"
+// Each sampled injection runs on LlfiEngine with the propagation tracer
+// armed (obs/propagation.h, the FAULTLAB_PROP path) and prints the trial's
+// PropSummary: how deep and wide the corruption spread through def-use
+// chains, how often it was masked, how it moved through memory and
+// branches, and where control flow first left the golden run — the raw
+// material for answering "why did this particular fault become an SDC
+// while that one stayed benign?"
 #include <cstdlib>
 #include <iostream>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
-#include "fault/propagation.h"
+#include "obs/propagation.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -33,32 +36,40 @@ int main(int argc, char** argv) {
 
   driver::CompiledProgram prog =
       driver::compile(apps::benchmark(app).source, app);
+  // Tracing must be on before the engine is built: its golden run doubles
+  // as the pc journal the divergence check compares against.
+  obs::set_prop_enabled(true);
   fault::LlfiEngine llfi(prog.module());
   const std::uint64_t n = llfi.profile(*category);
   std::cout << "Tracing " << samples << " injections into '" << app
             << "' (category " << ir::category_name(*category) << ", " << n
             << " dynamic targets)\n\n";
 
-  TextTable table({"k", "bit", "outcome", "values", "sites", "mem bytes",
-                   "branches", "outputs"});
+  TextTable table({"k", "bit", "outcome", "depth", "fanout", "reads",
+                   "masked", "stores", "st->ld", "branches", "diverged at"});
   Rng rng(7);
-  for (std::size_t s = 0; s < samples; ++s) {
+  for (std::size_t s = 0; s < samples && n > 0; ++s) {
     const std::uint64_t k = rng.range(1, n);
-    const unsigned bit = static_cast<unsigned>(rng.below(64));
-    const fault::PropagationTrace t = fault::trace_propagation(
-        prog.module(), *category, k, bit, llfi.golden_output());
-    table.add_row({std::to_string(k), std::to_string(bit),
-                   fault::outcome_name(t.outcome),
-                   std::to_string(t.contaminated_values),
-                   std::to_string(t.contaminated_sites.size()),
-                   std::to_string(t.contaminated_memory_bytes),
-                   std::to_string(t.contaminated_branches),
-                   std::to_string(t.contaminated_outputs)});
+    Rng trial = rng.fork();
+    const fault::TrialRecord r = llfi.inject(*category, k, trial);
+    const obs::PropSummary& p = r.prop;
+    table.add_row({std::to_string(k), std::to_string(r.bit),
+                   fault::outcome_name(r.outcome), std::to_string(p.depth),
+                   std::to_string(p.fanout), std::to_string(p.tainted_reads),
+                   std::to_string(p.masking_events),
+                   std::to_string(p.tainted_stores),
+                   std::to_string(p.store_load_edges),
+                   std::to_string(p.tainted_branches),
+                   p.diverged ? "+" + std::to_string(p.divergence_offset)
+                              : "-"});
   }
   std::cout << table.to_string();
-  std::cout << "\nReading: SDCs show contamination reaching 'outputs'; "
-               "benign faults show small,\nself-contained footprints; "
-               "crashes often show memory contamination shortly before\n"
-               "the trap. Values/sites measure dynamic vs static spread.\n";
+  std::cout << "\nReading: a fault spreads through data (depth, fanout, "
+               "tainted reads), through memory\n('st->ld': loads that "
+               "picked the taint back up) and through control flow "
+               "(tainted\nbranches; 'diverged at' is the dynamic distance "
+               "from the flip to the first\ninstruction off the golden "
+               "path). 'masked' counts tainted values overwritten by\n"
+               "clean ones.\n";
   return 0;
 }

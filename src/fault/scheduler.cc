@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -11,15 +10,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(_WIN32)
-#include <io.h>
-#define FAULTLAB_ISATTY _isatty
-#define FAULTLAB_FILENO _fileno
-#else
-#include <unistd.h>
-#define FAULTLAB_ISATTY isatty
-#define FAULTLAB_FILENO fileno
-#endif
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -103,32 +93,6 @@ void run_workers(std::size_t n, Fn& fn) {
   for (std::thread& th : pool) th.join();
 }
 
-/// Whether stderr is an interactive terminal. When it is not (CI logs,
-/// redirection to a file), the progress reporter falls back to plain
-/// newline-terminated lines instead of in-place \r redraws, so captured
-/// logs carry no ANSI control sequences.
-bool stderr_is_tty() {
-  static const bool tty = FAULTLAB_ISATTY(FAULTLAB_FILENO(stderr)) != 0;
-  return tty;
-}
-
-/// Live counters shared by the workers and the progress reporter. All
-/// relaxed: the heartbeat tolerates slightly stale reads.
-struct ProgressCounters {
-  std::atomic<std::size_t> outcomes[5] = {};  // indexed by fault::Outcome
-  /// Per-worker busy time (microseconds actually spent inside trials),
-  /// for the utilization gauges.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> busy_us;
-  std::size_t workers = 0;
-
-  void size_workers(std::size_t n) {
-    workers = n;
-    busy_us = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < n; ++i)
-      busy_us[i].store(0, std::memory_order_relaxed);
-  }
-};
-
 /// How the monitor counts a fault::Outcome (obs is independent of the
 /// fault layer, so the scheduler translates at the boundary).
 obs::MonitorOutcome to_monitor_outcome(Outcome o) noexcept {
@@ -140,72 +104,6 @@ obs::MonitorOutcome to_monitor_outcome(Outcome o) noexcept {
     case Outcome::NotActivated: break;
   }
   return obs::MonitorOutcome::NotActivated;
-}
-
-/// FAULTLAB_PROGRESS=1 stderr heartbeat: overall completion + ETA, running
-/// outcome tallies, and per-worker utilization gauges. Always called under
-/// the scheduler mutex (from finalize() and the workers' periodic ticks),
-/// so the counters are read without tearing the line. On a TTY the line is
-/// redrawn in place (\r...\033[K); otherwise each report is a plain
-/// newline-terminated line. `rate` comes from the caller's sliding recent
-/// window (the since-start average overestimates remaining time while the
-/// checkpoint caches warm up); when the monitor is active its ETA model
-/// and converged/watchdog tallies ride along.
-void print_progress(std::size_t trials_done, std::size_t trials_total,
-                    std::size_t campaigns_done, std::size_t campaigns_total,
-                    double elapsed_seconds, const ProgressCounters& counters,
-                    double rate, double eta,
-                    const obs::MonitorSummary* msum) {
-  const double pct =
-      trials_total != 0
-          ? 100.0 * static_cast<double>(trials_done) /
-                static_cast<double>(trials_total)
-          : 100.0;
-  const auto tally = [&](Outcome o) {
-    return counters.outcomes[static_cast<std::size_t>(o)].load(
-        std::memory_order_relaxed);
-  };
-  // Utilization gauges: busy-time share of wall time, per worker (capped at
-  // 8 gauges so the line stays readable on wide pools).
-  std::string util;
-  const std::size_t shown = std::min<std::size_t>(counters.workers, 8);
-  for (std::size_t w = 0; w < shown; ++w) {
-    const double busy =
-        static_cast<double>(
-            counters.busy_us[w].load(std::memory_order_relaxed)) /
-        1e6;
-    const double u =
-        elapsed_seconds > 0.0
-            ? std::min(100.0, 100.0 * busy / elapsed_seconds)
-            : 0.0;
-    if (!util.empty()) util += '|';
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%.0f", u);
-    util += buf;
-  }
-  if (shown < counters.workers) util += "|..";
-  std::string conv;
-  if (msum != nullptr) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "  conv %zu/%zu  wd %llu",
-                  msum->converged_cells, msum->cells,
-                  static_cast<unsigned long long>(msum->watchdog_flags));
-    conv = buf;
-  }
-  const bool tty = stderr_is_tty();
-  std::fprintf(stderr,
-               "%s[faultlab] %zu/%zu trials (%.1f%%)  %.1f trials/s  "
-               "ETA %.1fs  [%zu/%zu campaigns]%s  "
-               "crash %zu  sdc %zu  benign %zu  hang %zu  n/a %zu  "
-               "util %s%%%s",
-               tty ? "\r" : "", trials_done, trials_total, pct, rate, eta,
-               campaigns_done, campaigns_total, conv.c_str(),
-               tally(Outcome::Crash), tally(Outcome::SDC),
-               tally(Outcome::Benign), tally(Outcome::Hang),
-               tally(Outcome::NotActivated), util.c_str(),
-               tty ? "\033[K" : "\n");
-  if (tty && campaigns_done == campaigns_total) std::fputc('\n', stderr);
-  std::fflush(stderr);
 }
 
 }  // namespace
@@ -402,7 +300,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   // Phase 3 — trials: one shared queue of window chunks over all
   // campaigns; idle workers steal the next undone chunk regardless of
   // which campaign it belongs to.
-  std::mutex mutex;  // guards finalization, progress, and error capture
+  std::mutex mutex;  // guards finalization and error capture
   std::exception_ptr first_error;
   std::size_t error_campaign = 0;
   std::atomic<bool> failed{false};
@@ -410,28 +308,24 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   std::atomic<std::size_t> trials_done{0};
   std::size_t campaigns_done = 0;
 
-  const bool progress_line = obs::progress_enabled();
   // Gate on the global log's open state rather than the cached env bool:
   // identical for FAULTLAB_EVENTS users (global() opens from the env on
-  // first use), but lets bench_perf toggle the recorder programmatically
-  // to measure its overhead in one process.
+  // first use), but lets the campaign benchmark and tests open the
+  // recorder programmatically.
   const bool events_on = obs::EventLog::global().enabled();
-  ProgressCounters progress_counters;
   const std::size_t workers =
       std::min(pool_size, std::max<std::size_t>(chunks.size(), 1));
-  progress_counters.size_workers(workers);
 
   // Campaign monitor: forced on by SchedulerOptions::monitor, otherwise
-  // spun up when the environment configures a status path or the progress
-  // heartbeat wants convergence data. Purely observational — it never
-  // influences scheduling, so results stay byte-identical with it on or
-  // off (the StatusEquiv fixtures enforce this).
+  // spun up when the environment gives it a consumer
+  // (MonitorOptions::wanted()). Purely observational — it never influences scheduling, so results stay
+  // byte-identical with it on or off (the StatusEquiv fixtures enforce
+  // this).
   const obs::MonitorOptions monitor_options =
       options_.monitor ? *options_.monitor : obs::MonitorOptions::from_env();
   manifest_.ci_target = monitor_options.ci_target;
   std::unique_ptr<obs::CampaignMonitor> monitor;
-  if (options_.monitor.has_value() || !monitor_options.status_path.empty() ||
-      progress_line) {
+  if (options_.monitor.has_value() || monitor_options.wanted()) {
     monitor =
         std::make_unique<obs::CampaignMonitor>(monitor_options, workers);
     for (const Campaign& c : campaigns)
@@ -466,29 +360,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     });
     monitor->start();
   }
-
-  // Heartbeat rate/ETA over a sliding recent window: with checkpoint
-  // warm-up the since-start average undercounts the steady-state rate and
-  // overestimates remaining time early in a run. Called under the
-  // scheduler mutex.
-  obs::RateWindow heartbeat_rate;
-  auto emit_progress = [&](std::size_t done, std::size_t campaigns_done_now) {
-    const double elapsed = run_timer.seconds();
-    heartbeat_rate.sample(elapsed, done);
-    const double rate = heartbeat_rate.rate();
-    double eta =
-        rate > 0.0 ? static_cast<double>(total - done) / rate : 0.0;
-    obs::MonitorSummary msum;
-    if (monitor) {
-      msum = monitor->summary();
-      // The monitor's model folds in the engines' phase split early on;
-      // prefer it while it has a signal.
-      if (msum.eta_seconds > 0.0) eta = msum.eta_seconds;
-    }
-    print_progress(done, total, campaigns_done_now, campaigns.size(),
-                   elapsed, progress_counters, rate, eta,
-                   monitor ? &msum : nullptr);
-  };
 
   auto finalize = [&](std::size_t index) {
     // Called with all of the campaign's records written; aggregation walks
@@ -564,9 +435,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       timing.watchdog_flags = monitor->cell_status(index).watchdog_flags;
 
     ++campaigns_done;
-    if (progress_line)
-      emit_progress(trials_done.load(std::memory_order_relaxed),
-                    campaigns_done);
     if (options_.progress) {
       SchedulerProgress p;
       p.campaigns_total = campaigns.size();
@@ -668,24 +536,10 @@ std::vector<CampaignResult> CampaignScheduler::run() {
             if (record.prop.traced) ev.prop = &record.prop;
             obs::EventLog::global().append(ev);
           }
-          const std::size_t done =
-              trials_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_line) {
-            progress_counters
-                .outcomes[static_cast<std::size_t>(record.outcome)]
-                .fetch_add(1, std::memory_order_relaxed);
-            progress_counters.busy_us[worker].fetch_add(
-                static_cast<std::uint64_t>(c.latency_ms[trial] * 1000.0),
-                std::memory_order_relaxed);
-          }
+          trials_done.fetch_add(1, std::memory_order_relaxed);
           if (c.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             std::lock_guard<std::mutex> lock(mutex);
             finalize(index);
-          } else if (progress_line && done % 64 == 0) {
-            // Heartbeat between campaign completions, so long campaigns
-            // still tick.
-            std::lock_guard<std::mutex> lock(mutex);
-            emit_progress(done, campaigns_done);
           }
         } catch (...) {
           std::lock_guard<std::mutex> lock(mutex);

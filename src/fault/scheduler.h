@@ -171,8 +171,8 @@ struct SchedulerOptions {
   std::function<void(const SchedulerProgress&)> progress;
   /// Engaging this forces the campaign monitor on with these options,
   /// bypassing the environment. Disengaged (the default), run() builds
-  /// options from the environment and spins the monitor up only when a
-  /// status path is configured or the progress heartbeat is on. The
+  /// options from the environment and spins the monitor up only when
+  /// MonitorOptions::wanted() finds a consumer for it. The
   /// monitor is observational only — results are byte-identical either
   /// way (StatusEquiv enforces it).
   std::optional<obs::MonitorOptions> monitor;

@@ -32,7 +32,7 @@ namespace faultlab::obs {
 bool metrics_enabled() noexcept;
 
 /// True when FAULTLAB_PROGRESS is set to anything but "" or "0" (the
-/// scheduler's opt-in live stderr progress line). Cached on first call.
+/// campaign monitor's opt-in stderr heartbeat). Cached on first call.
 bool progress_enabled() noexcept;
 
 /// Merged view of one histogram: log2 buckets (bucket b holds values whose

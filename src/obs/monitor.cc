@@ -77,10 +77,15 @@ MonitorOptions MonitorOptions::from_env() {
   return o;
 }
 
+bool MonitorOptions::wanted() const noexcept {
+  return !status_path.empty() || progress_enabled();
+}
+
 CampaignMonitor::CampaignMonitor(MonitorOptions options, std::size_t workers)
     : options_(std::move(options)),
       workers_(std::max<std::size_t>(workers, 1)),
-      epoch_(std::chrono::steady_clock::now()) {}
+      epoch_(std::chrono::steady_clock::now()),
+      heartbeat_(progress_enabled()) {}
 
 CampaignMonitor::~CampaignMonitor() { finish(); }
 
@@ -117,6 +122,7 @@ void CampaignMonitor::start() {
   {
     std::lock_guard<std::mutex> lock(control_mutex_);
     next_snapshot_us_ = 0;  // first poll writes immediately
+    next_heartbeat_us_ = options_.status_interval_ms * 1000;
   }
   poll();
   // The ticker drives watchdog scans and snapshot cadence off the trial
@@ -149,13 +155,15 @@ void CampaignMonitor::finish() {
     ticker_.join();
   }
   if (!started_) return;
-  // Final quiescent snapshot: workers have drained, so the document's
-  // cross-field invariants hold exactly (validate_trace.py --status checks
-  // them strictly when "final" is true).
+  // Final quiescent snapshot and heartbeat: workers have drained, so the
+  // document's cross-field invariants hold exactly (validate_trace.py
+  // --status checks them strictly when "final" is true) and the line's
+  // tallies are the run's.
   std::lock_guard<std::mutex> lock(control_mutex_);
   const double elapsed = static_cast<double>(now_us()) * 1e-6;
   rate_.sample(elapsed, trials_done_.load(std::memory_order_relaxed));
   if (!options_.status_path.empty()) write_snapshot(true);
+  if (heartbeat_) print_heartbeat_locked();
 }
 
 void CampaignMonitor::begin_trial(std::size_t worker,
@@ -188,6 +196,7 @@ void CampaignMonitor::record(std::size_t worker, std::size_t cell,
   if (worker < workers_.size()) {
     WorkerSlot& slot = workers_[worker];
     slot.trials_done.fetch_add(1, std::memory_order_relaxed);
+    slot.busy_us.fetch_add(us, std::memory_order_relaxed);
     slot.busy_cell.store(0, std::memory_order_release);
   }
 }
@@ -271,12 +280,15 @@ std::vector<MonitorWorkerStatus> CampaignMonitor::worker_status() const {
       s.flagged = slot.flagged.load(std::memory_order_relaxed);
     }
     s.trials_done = slot.trials_done.load(std::memory_order_relaxed);
+    s.busy_seconds =
+        static_cast<double>(slot.busy_us.load(std::memory_order_relaxed)) *
+        1e-6;
     out.push_back(std::move(s));
   }
   return out;
 }
 
-double CampaignMonitor::eta_locked(double elapsed, std::uint64_t done_now,
+double CampaignMonitor::eta_locked(std::uint64_t done_now,
                                    double* rate_out) const {
   std::uint64_t total = 0;
   for (const auto& c : cells_) total += c->planned;
@@ -300,24 +312,29 @@ double CampaignMonitor::eta_locked(double elapsed, std::uint64_t done_now,
              static_cast<double>(workers_.size());
   }
   if (rate > 0.0) return static_cast<double>(remaining) / rate;
-  (void)elapsed;
   return 0.0;
 }
 
 MonitorSummary CampaignMonitor::summary() const {
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return summary_locked();
+}
+
+MonitorSummary CampaignMonitor::summary_locked() const {
   MonitorSummary s;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const MonitorCellStatus cs = cell_status_locked(i);
     s.trials_total += cs.planned;
     s.trials_done += cs.done;
+    for (std::size_t o = 0; o < kMonitorOutcomes; ++o)
+      s.outcomes[o] += cs.outcomes[o];
+    if (cs.done == cs.planned) ++s.cells_done;
     if (cs.converged) ++s.converged_cells;
   }
   s.cells = cells_.size();
   s.watchdog_flags = watchdog_flags_.load(std::memory_order_relaxed);
   s.status_writes = status_writes_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  s.eta_seconds = eta_locked(static_cast<double>(now_us()) * 1e-6,
-                             s.trials_done, &s.rate_trials_per_second);
+  s.eta_seconds = eta_locked(s.trials_done, &s.rate_trials_per_second);
   return s;
 }
 
@@ -369,10 +386,52 @@ void CampaignMonitor::poll(bool force_snapshot) {
   rate_.sample(static_cast<double>(now) * 1e-6,
                trials_done_.load(std::memory_order_relaxed));
   scan_watchdog();
+  if (heartbeat_ && now >= next_heartbeat_us_) {
+    next_heartbeat_us_ = now + options_.status_interval_ms * 1000;
+    print_heartbeat_locked();
+  }
   if (options_.status_path.empty()) return;
   if (!force_snapshot && now < next_snapshot_us_) return;
   next_snapshot_us_ = now + options_.status_interval_ms * 1000;
   write_snapshot(false);
+}
+
+void CampaignMonitor::print_heartbeat_locked() const {
+  const MonitorSummary s = summary_locked();
+  const double pct = s.trials_total != 0
+                         ? 100.0 * static_cast<double>(s.trials_done) /
+                               static_cast<double>(s.trials_total)
+                         : 100.0;
+  // Utilization gauges: busy share of the time since start(), per worker
+  // (capped at 8 gauges so the line stays readable on wide pools).
+  const double elapsed = static_cast<double>(now_us()) * 1e-6;
+  const std::vector<MonitorWorkerStatus> workers = worker_status();
+  std::string util;
+  const std::size_t shown = std::min<std::size_t>(workers.size(), 8);
+  for (std::size_t w = 0; w < shown; ++w) {
+    const double u =
+        elapsed > 0.0
+            ? std::min(100.0, 100.0 * workers[w].busy_seconds / elapsed)
+            : 0.0;
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%s%.0f", util.empty() ? "" : "|", u);
+    util += buf;
+  }
+  if (shown < workers.size()) util += "|..";
+  const auto ull = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  std::fprintf(stderr,
+               "[faultlab] %llu/%llu trials (%.1f%%)  %.1f trials/s  "
+               "ETA %.1fs  [%zu/%zu campaigns]  conv %zu/%zu  wd %llu  "
+               "crash %llu  sdc %llu  benign %llu  hang %llu  n/a %llu  "
+               "util %s%%\n",
+               ull(s.trials_done), ull(s.trials_total), pct,
+               s.rate_trials_per_second, s.eta_seconds, s.cells_done, s.cells,
+               s.converged_cells, s.cells, ull(s.watchdog_flags),
+               ull(s.outcomes[0]), ull(s.outcomes[1]), ull(s.outcomes[2]),
+               ull(s.outcomes[3]), ull(s.outcomes[4]), util.c_str());
+  std::fflush(stderr);
 }
 
 std::string CampaignMonitor::status_json(bool final_snapshot) const {
@@ -385,7 +444,7 @@ std::string CampaignMonitor::status_json_locked(bool final_snapshot) const {
   const double elapsed = static_cast<double>(now) * 1e-6;
   const std::uint64_t done = trials_done_.load(std::memory_order_relaxed);
   double rate = 0.0;
-  const double eta = eta_locked(elapsed, done, &rate);
+  const double eta = eta_locked(done, &rate);
 
   std::uint64_t total = 0;
   std::size_t converged = 0;

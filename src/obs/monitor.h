@@ -30,6 +30,13 @@
 //    widths / convergence, per-worker in-flight state, checkpoint and
 //    dispatch counters, and the ETA. Writes are atomic
 //    (write-temp-then-rename), so a reader never sees a torn file.
+//  * **Heartbeat.** With `FAULTLAB_PROGRESS=1` the ticker prints one
+//    plain stderr line at most once per `FAULTLAB_STATUS_INTERVAL` ms, and
+//    finish() prints a final one: trials done and total, the window rate
+//    and ETA, campaigns done, converged cells, watchdog flags, the outcome
+//    tallies, and per-worker utilization (summed trial latency over the
+//    time since start()). Every figure is read from the same cells and
+//    worker slots the status snapshot uses.
 //
 // Cost contract (same discipline as the rest of src/obs): when the
 // monitor is off the scheduler pays one null-pointer branch per trial
@@ -72,8 +79,7 @@ inline constexpr std::size_t kMonitorOutcomes = 5;
 /// overestimates remaining time early in a run (checkpoint warm-up makes
 /// the first trials the slowest), so ETA consumers sample (elapsed, done)
 /// points and read the rate over the most recent kWindow samples. Not
-/// thread-safe; callers serialize (the scheduler samples under its mutex,
-/// the monitor under its own).
+/// thread-safe; the monitor samples it under its control mutex.
 class RateWindow {
  public:
   static constexpr std::size_t kWindow = 32;
@@ -101,8 +107,7 @@ class RateWindow {
 
 /// Monitor configuration. from_env() reads the FAULTLAB_STATUS,
 /// FAULTLAB_STATUS_INTERVAL, FAULTLAB_CI_TARGET, and FAULTLAB_WATCHDOG
-/// variables; the scheduler spins a monitor up whenever a status path is
-/// configured or the progress heartbeat wants convergence data.
+/// variables; the scheduler spins a monitor up whenever wanted() says so.
 struct MonitorOptions {
   /// Crash-share Wilson 95% CI half-width below which a cell counts as
   /// converged (FAULTLAB_CI_TARGET, a fraction in (0, 1]).
@@ -110,14 +115,18 @@ struct MonitorOptions {
   /// Stall threshold: an in-flight trial older than this multiple of its
   /// cell's running p99 latency gets flagged (FAULTLAB_WATCHDOG).
   double watchdog_factor = 8.0;
-  /// Milliseconds between status-snapshot rewrites
-  /// (FAULTLAB_STATUS_INTERVAL).
+  /// Milliseconds between status-snapshot rewrites and between heartbeat
+  /// lines (FAULTLAB_STATUS_INTERVAL).
   std::uint64_t status_interval_ms = 1000;
   /// Snapshot destination (FAULTLAB_STATUS); empty disables snapshots but
   /// not the tallies/watchdog (the heartbeat still consumes them).
   std::string status_path;
 
   static MonitorOptions from_env();
+
+  /// True when a run has a consumer for the monitor: a snapshot path or
+  /// the FAULTLAB_PROGRESS heartbeat.
+  bool wanted() const noexcept;
 };
 
 /// Point-in-time view of one cell, assembled from the live tallies.
@@ -149,6 +158,7 @@ struct MonitorWorkerStatus {
   std::size_t cell = 0;  ///< valid when running
   double trial_age_ms = 0.0;
   std::uint64_t trials_done = 0;
+  double busy_seconds = 0.0;  ///< summed latency of its recorded trials
   std::uint64_t in_flight = 0;  ///< 1 while a trial runs, else 0
   bool flagged = false;  ///< current trial tripped the watchdog
 };
@@ -166,7 +176,9 @@ struct WatchdogEvent {
 struct MonitorSummary {
   std::uint64_t trials_total = 0;
   std::uint64_t trials_done = 0;
+  std::uint64_t outcomes[kMonitorOutcomes] = {};
   std::size_t cells = 0;
+  std::size_t cells_done = 0;  ///< cells whose planned trials all finished
   std::size_t converged_cells = 0;
   std::uint64_t watchdog_flags = 0;
   double rate_trials_per_second = 0.0;  ///< recent-window rate
@@ -216,13 +228,12 @@ class CampaignMonitor {
   /// Optional run-level context merged into every snapshot.
   void set_aux_source(std::function<MonitorAux()> source);
 
-  /// Starts the clock and, when a status path or watchdog work exists,
-  /// the ticker thread (snapshot cadence + watchdog scans). Cells must
-  /// all be registered.
+  /// Starts the clock and the ticker thread (snapshot and heartbeat
+  /// cadence, watchdog scans). Cells must all be registered.
   void start();
 
-  /// Final snapshot + ticker shutdown. Safe to call once after the last
-  /// record(); the destructor calls it too.
+  /// Ticker shutdown, then the final snapshot and heartbeat line. Safe to
+  /// call once after the last record(); the destructor calls it too.
   void finish();
 
   // -- trial hot path (scheduler workers) ------------------------------
@@ -240,8 +251,9 @@ class CampaignMonitor {
   MonitorSummary summary() const;
   std::size_t cells() const noexcept { return cells_.size(); }
 
-  /// Runs one watchdog scan and, when due (or `force`), one snapshot
-  /// write. The ticker calls this periodically; tests call it directly.
+  /// Runs one watchdog scan and, when due, one heartbeat line and (also
+  /// when `force`d) one snapshot write. The ticker calls this
+  /// periodically; tests call it directly.
   void poll(bool force_snapshot = false);
 
   /// The full status document (schema v1) as a JSON string.
@@ -275,16 +287,19 @@ class CampaignMonitor {
     std::atomic<std::uint64_t> busy_cell{0};
     std::atomic<std::uint64_t> started_us{0};
     std::atomic<std::uint64_t> trials_done{0};
+    /// Summed latency of the worker's recorded trials (utilization).
+    std::atomic<std::uint64_t> busy_us{0};
     std::atomic<bool> flagged{false};
   };
 
   std::uint64_t now_us() const noexcept;
   void scan_watchdog();
   void write_snapshot(bool final_snapshot);
+  void print_heartbeat_locked() const;
   MonitorCellStatus cell_status_locked(std::size_t cell) const;
+  MonitorSummary summary_locked() const;
   std::string status_json_locked(bool final_snapshot) const;
-  double eta_locked(double elapsed, std::uint64_t done_now,
-                    double* rate_out) const;
+  double eta_locked(std::uint64_t done_now, double* rate_out) const;
 
   MonitorOptions options_;
   std::vector<std::unique_ptr<Cell>> cells_;  // stable addresses
@@ -295,16 +310,19 @@ class CampaignMonitor {
   std::atomic<std::uint64_t> status_writes_{0};
   std::atomic<std::uint64_t> clock_skew_us_{0};
   std::chrono::steady_clock::time_point epoch_;
+  /// FAULTLAB_PROGRESS, latched at construction.
+  const bool heartbeat_;
   bool started_ = false;
   bool finished_ = false;
 
-  /// Guards the rate window, watchdog event list, and snapshot writes
-  /// (ticker + poll() callers; never trial workers).
+  /// Guards the rate window, watchdog event list, snapshot writes and
+  /// heartbeat lines (ticker + poll() callers; never trial workers).
   mutable std::mutex control_mutex_;
   RateWindow rate_;
   std::vector<WatchdogEvent> watchdog_events_;
   std::uint64_t watchdog_events_dropped_ = 0;
   std::uint64_t next_snapshot_us_ = 0;
+  std::uint64_t next_heartbeat_us_ = 0;
 
   std::thread ticker_;
   std::mutex ticker_mutex_;

@@ -73,6 +73,8 @@ struct PropSummary {
   std::uint64_t divergence_pc = 0;
   /// Dynamic instructions between injection and first divergence.
   std::uint64_t divergence_offset = 0;
+
+  bool operator==(const PropSummary&) const = default;
 };
 
 /// Golden-run pc journal: one 32-bit fingerprint per dynamic instruction,

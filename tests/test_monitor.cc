@@ -127,6 +127,21 @@ TEST(CampaignMonitorTest, TalliesAndConvergence) {
   EXPECT_EQ(sum.converged_cells, 1u);
 }
 
+TEST(Monitor, WorkerStatusSumsRecordedBusyTime) {
+  CampaignMonitor monitor(MonitorOptions{}, /*workers=*/2);
+  const std::size_t cell =
+      monitor.add_cell("mcf", "llfi", "all", "transient", 10);
+  monitor.record(0, cell, MonitorOutcome::Crash, 1.5);
+  monitor.record(0, cell, MonitorOutcome::Benign, 2.25);
+  monitor.record(1, cell, MonitorOutcome::SDC, 4.0);
+  const std::vector<MonitorWorkerStatus> workers = monitor.worker_status();
+  ASSERT_EQ(workers.size(), 2u);
+  EXPECT_EQ(workers[0].trials_done, 2u);
+  EXPECT_NEAR(workers[0].busy_seconds, 0.00375, 1e-9);
+  EXPECT_EQ(workers[1].trials_done, 1u);
+  EXPECT_NEAR(workers[1].busy_seconds, 0.004, 1e-9);
+}
+
 TEST(CampaignMonitorTest, WatchdogFlagsStalledTrialOnce) {
   MonitorOptions options;
   options.watchdog_factor = 8.0;
